@@ -264,9 +264,9 @@ func (m *Model) Infer(e *baselines.Evaluator, samples int) (*baselines.Result, e
 		keep := len(top)
 		switch m.Kind {
 		case Dynamic:
-			keep = maxInt(1, len(top)/10)
+			keep = max(1, len(top)/10)
 		case Hybrid:
-			keep = maxInt(1, len(top)/2)
+			keep = max(1, len(top)/2)
 		}
 		rows = append(rows, top[:keep]...)
 	}
@@ -290,18 +290,4 @@ func (m *Model) Infer(e *baselines.Evaluator, samples int) (*baselines.Result, e
 	}
 	bestCV, _ := e.Best()
 	return e.Finish("COBAYN-"+m.Kind.String(), bestCV)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -30,10 +30,17 @@
 // fresh noise sample, which is how the optimizer chases the noisy
 // minimum CFR finds by brute force) and returns the top-EI batch.
 //
-// Observe only records; the surrogate is refit inside Suggest from the
-// observations read in evaluation-index order, so the technique is
-// insensitive to the order results are reported in — the engine's
-// worker scheduling cannot leak into its decisions.
+// Fitting. Observe only records. Suggest brings the surrogate up to
+// date by folding the observations it has not seen yet, in evaluation-
+// index order, into running sums, so a round costs O(batch·modules)
+// plus candidate scoring instead of a refit over every observation. The
+// sums take the same += sequence a from-scratch fit would, so the model
+// is bit-identical to one. Two events rebuild it from scratch instead:
+// an Observe below the folded prefix (a late or repeated report), and a
+// new worst finite time once +Inf observations are folded, because
+// those are clamped to twice the worst finite time. The technique is
+// therefore insensitive to the order results are reported in — the
+// engine's worker scheduling cannot leak into its decisions.
 package bo
 
 import (
@@ -72,6 +79,8 @@ type Optimizer struct {
 	cfg    search.Config
 	issued int
 	obs    []observation // indexed by global evaluation index
+	model  surrogate     // fitted over obs[:model.folded]
+	dirty  bool          // an Observe landed below model.folded
 }
 
 // New builds the optimizer.
@@ -79,7 +88,13 @@ func New(cfg search.Config) (search.Technique, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Optimizer{cfg: cfg, obs: make([]observation, 0, cfg.Budget)}, nil
+	o := &Optimizer{cfg: cfg, obs: make([]observation, 0, cfg.Budget)}
+	o.model.cells = make([]map[uint64]cell, len(cfg.Pools))
+	for mi := range o.model.cells {
+		o.model.cells[mi] = make(map[uint64]cell)
+	}
+	o.model.reset()
+	return o, nil
 }
 
 // Name implements search.Technique.
@@ -89,12 +104,16 @@ func (o *Optimizer) Name() string { return "BO" }
 func (o *Optimizer) Phase() string { return "bo" }
 
 // Observe implements search.Technique: record only — all decisions
-// happen in Suggest.
+// happen in Suggest. An index the surrogate has already folded marks it
+// for a rebuild.
 func (o *Optimizer) Observe(k int, assembly []flagspec.CV, t float64) {
 	for len(o.obs) <= k {
 		o.obs = append(o.obs, observation{})
 	}
 	o.obs[k] = observation{assembly: assembly, t: t}
+	if k < o.model.folded {
+		o.dirty = true
+	}
 }
 
 // Suggest implements search.Technique.
@@ -160,27 +179,50 @@ type cell struct {
 	sum float64
 }
 
-// surrogate is the fitted additive model.
+// surrogate is the fitted additive model and the running sums behind it.
 type surrogate struct {
 	cells  []map[uint64]cell // per module, keyed by CV.Key
+	sum    float64           // Σ t over folded observations
+	sumsq  float64           // Σ t²
+	count  float64           // folded observations
 	global float64           // ḡ
 	dev    float64           // s
 	fstar  float64           // incumbent best observation
-	ranked []int             // observation indices, best first
+	worst  float64           // worst finite observation
+	infs   int               // folded +Inf observations, clamped to 2·worst
+	tops   []int             // best `incumbents` observation indices, best first
+	folded int               // obs[:folded] are in the sums
 }
 
-// fit rebuilds the surrogate from the recorded observations in index
-// order. +Inf observations (crashed or abandoned evaluations) are
-// clamped to twice the worst finite time — a multiset statistic, so the
-// clamp is independent of reporting order.
+// reset empties the surrogate, keeping its cell maps for reuse.
+func (s *surrogate) reset() {
+	for _, m := range s.cells {
+		clear(m)
+	}
+	*s = surrogate{cells: s.cells, tops: s.tops[:0], worst: math.Inf(-1), fstar: math.Inf(1)}
+}
+
+// fit folds the observations recorded since the last call into the
+// surrogate, in index order, and returns it — or nil while nothing
+// finite has been observed. +Inf observations (crashed or abandoned
+// evaluations) are clamped to twice the worst finite time, a multiset
+// statistic, so the clamp is independent of reporting order. When the
+// worst finite time rises under already-folded +Inf observations, or an
+// Observe landed below the folded prefix, the surrogate is rebuilt from
+// index 0 instead; either way it equals a from-scratch fit bit for bit.
 func (o *Optimizer) fit() *surrogate {
-	worst, fstar := math.Inf(-1), math.Inf(1)
-	finite := 0
-	for _, ob := range o.obs {
+	s := &o.model
+	if o.dirty {
+		s.reset()
+		o.dirty = false
+	}
+	worst, fstar := s.worst, s.fstar
+	finite := s.count > 0 // a non-empty model always holds a finite time
+	for _, ob := range o.obs[s.folded:] {
 		if ob.assembly == nil || math.IsInf(ob.t, 1) {
 			continue
 		}
-		finite++
+		finite = true
 		if ob.t > worst {
 			worst = ob.t
 		}
@@ -188,48 +230,61 @@ func (o *Optimizer) fit() *surrogate {
 			fstar = ob.t
 		}
 	}
-	if finite == 0 {
+	if !finite {
 		return nil
 	}
+	if s.infs > 0 && worst > s.worst {
+		s.reset()
+	}
+	s.worst, s.fstar = worst, fstar
 	clamp := 2 * worst
-	s := &surrogate{
-		cells: make([]map[uint64]cell, len(o.cfg.Pools)),
-		fstar: fstar,
-	}
-	for mi := range s.cells {
-		s.cells[mi] = make(map[uint64]cell)
-	}
-	var sum, sumsq float64
-	var count float64
-	for k, ob := range o.obs {
+	for k := s.folded; k < len(o.obs); k++ {
+		ob := o.obs[k]
 		if ob.assembly == nil {
 			continue
 		}
 		t := ob.t
 		if math.IsInf(t, 1) {
 			t = clamp
+			s.infs++
 		}
-		sum += t
-		sumsq += t * t
-		count++
+		s.sum += t
+		s.sumsq += t * t
+		s.count++
 		for mi, cv := range ob.assembly {
 			c := s.cells[mi][cv.Key()]
 			c.n++
 			c.sum += t
 			s.cells[mi][cv.Key()] = c
 		}
-		s.ranked = append(s.ranked, k)
+		s.rank(o.obs, k)
 	}
-	s.global = sum / count
-	varg := sumsq/count - s.global*s.global
+	s.folded = len(o.obs)
+	s.global = s.sum / s.count
+	varg := s.sumsq/s.count - s.global*s.global
 	if varg < 1e-12*s.global*s.global+1e-300 {
 		varg = 1e-12*s.global*s.global + 1e-300
 	}
 	s.dev = math.Sqrt(varg)
-	sort.SliceStable(s.ranked, func(i, j int) bool {
-		return o.obs[s.ranked[i]].t < o.obs[s.ranked[j]].t
-	})
 	return s
+}
+
+// rank inserts observation k into the top-incumbents list. k is above
+// every index already ranked, so placing it after equal times keeps the
+// order a stable sort of all observations by time would give.
+func (s *surrogate) rank(obs []observation, k int) {
+	i := len(s.tops)
+	for i > 0 && obs[k].t < obs[s.tops[i-1]].t {
+		i--
+	}
+	if i >= incumbents {
+		return
+	}
+	if len(s.tops) < incumbents {
+		s.tops = append(s.tops, 0)
+	}
+	copy(s.tops[i+1:], s.tops[i:])
+	s.tops[i] = k
 }
 
 // predict returns the surrogate mean and deviation for an assembly.
@@ -274,10 +329,7 @@ func (o *Optimizer) acquire(n int) [][]flagspec.CV {
 		}
 		return out
 	}
-	tops := s.ranked
-	if len(tops) > incumbents {
-		tops = tops[:incumbents]
-	}
+	tops := s.tops
 	cands := make([][]flagspec.CV, 0, candidates)
 	// The incumbents themselves: re-evaluating a strong assembly draws a
 	// fresh noise sample (noise is keyed by evaluation index), which is
@@ -329,18 +381,4 @@ func (o *Optimizer) acquire(n int) [][]flagspec.CV {
 		out[i] = cands[scores[i].idx]
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
