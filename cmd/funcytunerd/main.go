@@ -42,6 +42,11 @@ import (
 	"funcytuner/internal/server"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a connection that never finishes them cannot pin
+// a server goroutine. Bodies and long-poll responses are unaffected.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	cfg, err := parseFlags(os.Args[1:], os.Stderr)
 	if err != nil {
@@ -130,7 +135,7 @@ func parseFlags(args []string, errOut io.Writer) (config, error) {
 	fs.StringVar(&cfg.workerID, "worker-id", "", "stable worker identity; default hostname-pid (worker)")
 	fs.IntVar(&cfg.concurrency, "concurrency", runtime.GOMAXPROCS(0), "simultaneous claims (worker)")
 	fs.IntVar(&cfg.claimBatch, "claim-batch", 1,
-		"tasks leased per claim round-trip; >1 batches claims and reports (worker)")
+		"tasks leased per claim round-trip; a transport setting only, the lease protocol is the same at every size (worker)")
 	fs.DurationVar(&cfg.poll, "poll", 2*time.Second, "claim long-poll bound (worker)")
 	fs.Float64Var(&cfg.faultRate, "worker-fault-rate", 0,
 		"scale of the injected worker fault mix, for chaos testing (worker)")
@@ -322,7 +327,7 @@ func runServer(ctx context.Context, stop context.CancelFunc, cfg config) error {
 				cfg.fleetJournal, n, len(reattached))
 		}
 	}
-	srv := &http.Server{Addr: cfg.addr, Handler: server.NewServer(mgr)}
+	srv := &http.Server{Addr: cfg.addr, Handler: server.NewServer(mgr), ReadHeaderTimeout: readHeaderTimeout}
 
 	errc := make(chan error, 1)
 	go func() {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"funcytuner/internal/core"
-	"funcytuner/internal/faults"
 	"funcytuner/internal/flagspec"
 	"funcytuner/internal/metrics"
 )
@@ -186,35 +185,5 @@ func TestBatchedWorkersMatchLocal(t *testing.T) {
 	}
 	if !bytes.Equal(gotTrace, wantTrace) {
 		t.Errorf("batched canonical trace differs from local (%d vs %d bytes)", len(gotTrace), len(wantTrace))
-	}
-}
-
-// TestBatchedWorkersSurviveChaos is the chaos suite re-run with batched
-// claims: workers dying mid-batch, stalling past the lease, and sending
-// stale reports must leave the merged run byte-identical to single-node.
-// This exercises the batch self-fencing path — a fenced task is dropped
-// from the batched report instead of landing stale.
-func TestBatchedWorkersSurviveChaos(t *testing.T) {
-	spec := testSpec()
-	wantFP, wantTrace := localRun(t, spec)
-	chaos := faults.WorkerRates{DieMidEval: 0.08, Stall: 0.05, ReportThenDie: 0.04, StaleReport: 0.08}
-	gotFP, gotTrace := distributedRun(t, spec,
-		CoordinatorConfig{
-			LeaseTTL:          150 * time.Millisecond,
-			Heartbeat:         30 * time.Millisecond,
-			RequeueBackoff:    2 * time.Millisecond,
-			RequeueBackoffCap: 20 * time.Millisecond,
-			MaxLeaseLosses:    1 << 20,
-		},
-		[]WorkerConfig{
-			{ID: "wb-healthy", Concurrency: 2, ClaimBatch: 4, Poll: 100 * time.Millisecond},
-			{ID: "wb-chaos-1", Concurrency: 2, ClaimBatch: 4, Poll: 100 * time.Millisecond, Faults: chaos},
-			{ID: "wb-chaos-2", Concurrency: 2, ClaimBatch: 4, Poll: 100 * time.Millisecond, Faults: chaos},
-		}, nil)
-	if gotFP != wantFP {
-		t.Errorf("batched chaos fingerprint %016x != local %016x", gotFP, wantFP)
-	}
-	if !bytes.Equal(gotTrace, wantTrace) {
-		t.Errorf("batched chaos canonical trace differs from local (%d vs %d bytes)", len(gotTrace), len(wantTrace))
 	}
 }

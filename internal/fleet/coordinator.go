@@ -811,17 +811,6 @@ func (c *Coordinator) abandon(t *task) {
 	c.updateGauges()
 }
 
-// Claim leases the oldest claimable task to worker, long-polling up to
-// maxWait for one to appear. Returns (nil, nil) when nothing became
-// claimable in time (the HTTP layer's 204).
-func (c *Coordinator) Claim(ctx context.Context, worker string, maxWait time.Duration) (*Task, error) {
-	ts, err := c.ClaimBatch(ctx, worker, maxWait, 1)
-	if err != nil || len(ts) == 0 {
-		return nil, err
-	}
-	return ts[0], nil
-}
-
 // ClaimBatch leases up to max claimable tasks to worker in FIFO order,
 // long-polling up to maxWait for at least one to appear. It grants
 // whatever is claimable the moment anything is — it never holds a

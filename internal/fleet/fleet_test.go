@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -103,7 +104,9 @@ func distributedRun(t *testing.T, spec Spec, ccfg CoordinatorConfig, workers []W
 	for i := range workers {
 		wc := workers[i]
 		wc.Coordinator = srv.URL
-		wc.Logf = t.Logf
+		if wc.Logf == nil {
+			wc.Logf = t.Logf
+		}
 		if transports != nil && transports[i] != nil {
 			wc.HTTPClient = &http.Client{Transport: transports[i]}
 		}
@@ -168,45 +171,109 @@ func TestDistributedFingerprintMatchesLocal(t *testing.T) {
 
 // TestDistributedSurvivesWorkerChaos injects every worker fault mode —
 // die-mid-eval, stall past the lease, report-then-die, stale re-report —
-// and still demands byte-equality with the clean single-node run. This
-// is simultaneously the duplicate/late-report coverage: stale reports
-// are rejected, cost is accounted exactly once (the fingerprint hashes
-// the cost and fault tallies), and the canonical trace is byte-identical.
+// at claim batch 1 and 4, and still demands byte-equality with the clean
+// single-node run. This is simultaneously the duplicate/late-report
+// coverage: stale reports are rejected, cost is accounted exactly once
+// (the fingerprint hashes the cost and fault tallies), and the canonical
+// trace is byte-identical. The stale-report and lease-expiry counters
+// prove the fault modes actually fired.
 func TestDistributedSurvivesWorkerChaos(t *testing.T) {
+	// A longer run than testSpec's default, with no healthy peer to
+	// starve the chaos workers of claims, so every fault mode fires.
 	spec := testSpec()
+	spec.Samples = 96
 	wantFP, wantTrace := localRun(t, spec)
 	chaos := faults.WorkerRates{DieMidEval: 0.08, Stall: 0.05, ReportThenDie: 0.04, StaleReport: 0.08}
-	gotFP, gotTrace := distributedRun(t, spec,
-		CoordinatorConfig{
-			LeaseTTL:          150 * time.Millisecond,
-			Heartbeat:         30 * time.Millisecond,
-			RequeueBackoff:    2 * time.Millisecond,
-			RequeueBackoffCap: 20 * time.Millisecond,
-			MaxLeaseLosses:    1 << 20, // chaos workers must keep rejoining
-		},
-		[]WorkerConfig{
-			{ID: "w-healthy", Concurrency: 2, Poll: 100 * time.Millisecond},
-			{ID: "w-chaos-1", Concurrency: 2, Poll: 100 * time.Millisecond, Faults: chaos},
-			{ID: "w-chaos-2", Concurrency: 2, Poll: 100 * time.Millisecond, Faults: chaos},
-		}, nil)
-	if gotFP != wantFP {
-		t.Errorf("chaos fingerprint %016x != local %016x", gotFP, wantFP)
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("batch-%d", batch), func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			gotFP, gotTrace := distributedRun(t, spec,
+				CoordinatorConfig{
+					LeaseTTL:          150 * time.Millisecond,
+					Heartbeat:         30 * time.Millisecond,
+					RequeueBackoff:    2 * time.Millisecond,
+					RequeueBackoffCap: 20 * time.Millisecond,
+					MaxLeaseLosses:    1 << 20, // chaos workers must keep rejoining
+					Registry:          reg,
+				},
+				[]WorkerConfig{
+					{ID: "w-chaos-1", Concurrency: 2, ClaimBatch: batch, Poll: 100 * time.Millisecond, Faults: chaos},
+					{ID: "w-chaos-2", Concurrency: 2, ClaimBatch: batch, Poll: 100 * time.Millisecond, Faults: chaos},
+					{ID: "w-chaos-3", Concurrency: 2, ClaimBatch: batch, Poll: 100 * time.Millisecond, Faults: chaos},
+				}, nil)
+			if gotFP != wantFP {
+				t.Errorf("chaos fingerprint %016x != local %016x", gotFP, wantFP)
+			}
+			if !bytes.Equal(gotTrace, wantTrace) {
+				t.Errorf("chaos canonical trace differs from local (%d vs %d bytes)", len(gotTrace), len(wantTrace))
+			}
+			snap := reg.Snapshot()
+			if snap.Counter(MetricReportsStale) == 0 {
+				t.Errorf("no stale reports: the stall and stale-report modes never fired")
+			}
+			if snap.Counter(MetricLeasesExpired) == 0 {
+				t.Errorf("no expired leases: the die and stall modes never fired")
+			}
+		})
 	}
-	if !bytes.Equal(gotTrace, wantTrace) {
-		t.Errorf("chaos canonical trace differs from local (%d vs %d bytes)", len(gotTrace), len(wantTrace))
+}
+
+// TestFaultedLeaseSparesBatchmates pins that a die-mid-eval or stall
+// drawn for one lease expires only that lease: its batchmates keep being
+// heartbeated from the moment they are granted, so lease expiries never
+// outnumber the injected go-dark faults at any claim batch size, and a
+// single fault cannot push a batch worker toward quarantine.
+func TestFaultedLeaseSparesBatchmates(t *testing.T) {
+	spec := testSpec()
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("batch-%d", batch), func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			var dark atomic.Int64
+			logf := func(format string, args ...any) {
+				line := fmt.Sprintf(format, args...)
+				if strings.Contains(line, "injecting "+faults.WorkerDieMidEval.String()) ||
+					strings.Contains(line, "injecting "+faults.WorkerStall.String()) {
+					dark.Add(1)
+				}
+				t.Log(line)
+			}
+			distributedRun(t, spec,
+				CoordinatorConfig{
+					LeaseTTL:          300 * time.Millisecond,
+					Heartbeat:         50 * time.Millisecond,
+					RequeueBackoff:    2 * time.Millisecond,
+					RequeueBackoffCap: 20 * time.Millisecond,
+					MaxLeaseLosses:    1 << 20, // let the run finish so the counts compare
+					Registry:          reg,
+				},
+				[]WorkerConfig{{
+					ID: "w-dark", Concurrency: 1, ClaimBatch: batch, Poll: 100 * time.Millisecond,
+					Faults: faults.WorkerRates{DieMidEval: 0.05, Stall: 0.1}, Logf: logf,
+				}}, nil)
+			injected := dark.Load()
+			if injected == 0 {
+				t.Fatalf("no die/stall fault injected; the test proves nothing")
+			}
+			if expired := reg.Snapshot().Counter(MetricLeasesExpired); expired > injected {
+				t.Errorf("leases_expired = %d > %d injected die/stall faults: a fault expired its batchmates", expired, injected)
+			}
+		})
 	}
 }
 
 // killAfterReports cancels a context after the worker has delivered n
-// reports — an abrupt mid-run death from the coordinator's perspective.
+// batched reports — an abrupt mid-run death from the coordinator's
+// perspective.
 type killAfterReports struct {
 	n      int64
 	cancel context.CancelFunc
 	seen   atomic.Int64
+	fired  atomic.Bool
 }
 
 func (k *killAfterReports) RoundTrip(req *http.Request) (*http.Response, error) {
-	if strings.HasSuffix(req.URL.Path, "/fleet/report") && k.seen.Add(1) >= k.n {
+	if strings.HasSuffix(req.URL.Path, "/fleet/reportbatch") && k.seen.Add(1) >= k.n {
+		k.fired.Store(true)
 		k.cancel()
 	}
 	return http.DefaultTransport.RoundTrip(req)
@@ -297,8 +364,8 @@ func TestDistributedSurvivesWorkerKillAndRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("distributed run: %v", err)
 	}
-	if got := killer.seen.Load(); got < 5 {
-		t.Errorf("victim delivered only %d reports; the kill never fired", got)
+	if !killer.fired.Load() {
+		t.Errorf("victim delivered only %d reports; the kill never fired", killer.seen.Load())
 	}
 	if gotFP := rep.Fingerprint(); gotFP != wantFP {
 		t.Errorf("kill/rejoin fingerprint %016x != local %016x", gotFP, wantFP)
@@ -306,6 +373,16 @@ func TestDistributedSurvivesWorkerKillAndRejoin(t *testing.T) {
 	if gotTrace := canonicalJSONL(t, rec); !bytes.Equal(gotTrace, wantTrace) {
 		t.Errorf("kill/rejoin canonical trace differs from local")
 	}
+}
+
+// claimOne leases at most one task to worker, long-polling up to
+// maxWait: (nil, nil) when nothing became claimable in time.
+func claimOne(ctx context.Context, coord *Coordinator, worker string, maxWait time.Duration) (*Task, error) {
+	ts, err := coord.ClaimBatch(ctx, worker, maxWait, 1)
+	if err != nil || len(ts) == 0 {
+		return nil, err
+	}
+	return ts[0], nil
 }
 
 // fabricatedOutcome is a minimal valid wire outcome for protocol tests.
@@ -353,7 +430,7 @@ func TestStaleReportRejectedOnce(t *testing.T) {
 		resCh <- evalRes{out, err}
 	}()
 
-	t1, err := coord.Claim(ctx, "w1", 5*time.Second)
+	t1, err := claimOne(ctx, coord, "w1", 5*time.Second)
 	if err != nil || t1 == nil {
 		t.Fatalf("first claim: task %v err %v", t1, err)
 	}
@@ -368,7 +445,7 @@ func TestStaleReportRejectedOnce(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t2, err := coord.Claim(ctx, "w2", 5*time.Second)
+	t2, err := claimOne(ctx, coord, "w2", 5*time.Second)
 	if err != nil || t2 == nil {
 		t.Fatalf("re-claim: task %v err %v", t2, err)
 	}
@@ -445,7 +522,7 @@ func TestWorkerQuarantineAfterLeaseLosses(t *testing.T) {
 	go ev.Evaluate(evalCtx, baselineRequest()) //nolint:errcheck // cancelled at cleanup
 
 	for loss := 0; loss < 2; loss++ {
-		task, err := coord.Claim(ctx, "w-flaky", 5*time.Second)
+		task, err := claimOne(ctx, coord, "w-flaky", 5*time.Second)
 		if err != nil || task == nil {
 			t.Fatalf("loss %d claim: task %v err %v", loss, task, err)
 		}
@@ -457,10 +534,10 @@ func TestWorkerQuarantineAfterLeaseLosses(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	if _, err := coord.Claim(ctx, "w-flaky", 100*time.Millisecond); err != ErrQuarantined {
+	if _, err := claimOne(ctx, coord, "w-flaky", 100*time.Millisecond); err != ErrQuarantined {
 		t.Errorf("quarantined worker claim error = %v, want ErrQuarantined", err)
 	}
-	if task, err := coord.Claim(ctx, "w-healthy", 5*time.Second); err != nil || task == nil {
+	if task, err := claimOne(ctx, coord, "w-healthy", 5*time.Second); err != nil || task == nil {
 		t.Errorf("healthy worker blocked after peer quarantine: task %v err %v", task, err)
 	}
 	if got := reg.Snapshot().Counter(MetricWorkersQuarantined); got != 1 {
@@ -496,7 +573,7 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 		_, err := ev.Evaluate(ctx, baselineRequest())
 		done <- err
 	}()
-	task, err := coord.Claim(ctx, "w1", 5*time.Second)
+	task, err := claimOne(ctx, coord, "w1", 5*time.Second)
 	if err != nil || task == nil {
 		t.Fatalf("claim: task %v err %v", task, err)
 	}
@@ -559,7 +636,7 @@ func TestCoordinatorClosedAndCancelled(t *testing.T) {
 
 	coord.Close()
 	coord.Close() // idempotent
-	if _, err := coord.Claim(ctx, "w1", 10*time.Millisecond); err != ErrClosed {
+	if _, err := claimOne(ctx, coord, "w1", 10*time.Millisecond); err != ErrClosed {
 		t.Errorf("claim on closed coordinator: %v, want ErrClosed", err)
 	}
 	if _, err := ev.Evaluate(ctx, baselineRequest()); err != ErrClosed {

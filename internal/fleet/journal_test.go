@@ -309,7 +309,7 @@ func TestCoordinatorKillRecovery(t *testing.T) {
 	done1 := evaluateAsync(ctx, ev, baselineRequest())
 	var t1 *Task
 	for t1 == nil {
-		if t1, err = coord.Claim(ctx, "w1", time.Second); err != nil {
+		if t1, err = claimOne(ctx, coord, "w1", time.Second); err != nil {
 			t.Fatalf("claim: %v", err)
 		}
 	}
@@ -331,7 +331,7 @@ func TestCoordinatorKillRecovery(t *testing.T) {
 	if res2 := <-done2; !errors.Is(res2.err, ErrUnavailable) {
 		t.Fatalf("pending evaluate after kill: err=%v, want ErrUnavailable", res2.err)
 	}
-	if _, err := coord.Claim(ctx, "w1", 0); !errors.Is(err, ErrUnavailable) {
+	if _, err := claimOne(ctx, coord, "w1", 0); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("claim after kill: err=%v, want ErrUnavailable", err)
 	}
 
@@ -375,7 +375,7 @@ func TestCoordinatorKillRecovery(t *testing.T) {
 	if depth := coord2.QueueDepth(); depth != 1 {
 		t.Errorf("queue depth after adoption = %d, want 1", depth)
 	}
-	t2, err := coord2.Claim(ctx, "w1", 5*time.Second)
+	t2, err := claimOne(ctx, coord2, "w1", 5*time.Second)
 	if err != nil || t2 == nil {
 		t.Fatalf("claim from restarted coordinator: %v %v", t2, err)
 	}
@@ -405,7 +405,7 @@ func TestRecoveryBumpsExpiredLeaseEpoch(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
 	defer cancel()
 	done := evaluateAsync(ctx, ev, baselineRequest())
-	t1, err := coord.Claim(ctx, "w1", time.Second)
+	t1, err := claimOne(ctx, coord, "w1", time.Second)
 	if err != nil || t1 == nil {
 		t.Fatalf("claim: %v %v", t1, err)
 	}
@@ -426,7 +426,7 @@ func TestRecoveryBumpsExpiredLeaseEpoch(t *testing.T) {
 	}
 	ev2, _ := coord2.Evaluator("job-retry", testSpec())
 	done2 := evaluateAsync(ctx, ev2, baselineRequest())
-	t2, err := coord2.Claim(ctx, "w2", 5*time.Second)
+	t2, err := claimOne(ctx, coord2, "w2", 5*time.Second)
 	if err != nil || t2 == nil {
 		t.Fatalf("re-claim: %v %v", t2, err)
 	}
@@ -455,7 +455,7 @@ func TestRecoveryKeepsLiveLease(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
 	defer cancel()
 	done := evaluateAsync(ctx, ev, baselineRequest())
-	t1, err := coord.Claim(ctx, "w1", time.Second)
+	t1, err := claimOne(ctx, coord, "w1", time.Second)
 	if err != nil || t1 == nil {
 		t.Fatalf("claim: %v %v", t1, err)
 	}
@@ -504,7 +504,7 @@ func TestJournalCompaction(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
 		defer cancel()
 		done := evaluateAsync(ctx, ev, baselineRequest())
-		t1, err := coord.Claim(ctx, "w1", time.Second)
+		t1, err := claimOne(ctx, coord, "w1", time.Second)
 		if err != nil || t1 == nil {
 			t.Fatalf("claim: %v %v", t1, err)
 		}
@@ -537,7 +537,7 @@ func TestJournalCompaction(t *testing.T) {
 		for coord.QueueDepth() < 2 {
 			time.Sleep(time.Millisecond)
 		}
-		t1, err := coord.Claim(ctx, "w1", time.Second)
+		t1, err := claimOne(ctx, coord, "w1", time.Second)
 		if err != nil || t1 == nil {
 			t.Fatalf("claim: %v %v", t1, err)
 		}

@@ -100,7 +100,7 @@ func TestCoordinatorChaosMatrix(t *testing.T) {
 	// lease expiry drives the requeue/quarantine sweep kill points.
 	probeHold := func(ctx context.Context, coord *Coordinator) {
 		for ctx.Err() == nil {
-			task, err := coord.Claim(ctx, "probe", 2*time.Second)
+			task, err := claimOne(ctx, coord, "probe", 2*time.Second)
 			if err != nil {
 				return
 			}
@@ -114,7 +114,7 @@ func TestCoordinatorChaosMatrix(t *testing.T) {
 	// record, since healthy workers report faster than they heartbeat.
 	probeHeartbeat := func(ctx context.Context, coord *Coordinator) {
 		for ctx.Err() == nil {
-			task, err := coord.Claim(ctx, "probe", 2*time.Second)
+			task, err := claimOne(ctx, coord, "probe", 2*time.Second)
 			if err != nil {
 				return
 			}
@@ -486,9 +486,11 @@ func TestQuarantineExpirySweep(t *testing.T) {
 }
 
 // TestHTTPProtocolSurface walks the wire protocol's status mapping end
-// to end through the real handler and the worker's client: grants,
-// stale verdicts (409), a killed coordinator (502 → ErrUnavailable, the
-// "retry" signal) and a closed one (503 → ErrClosed, the "exit" signal).
+// to end through the real handler and the worker's client: grants, an
+// empty long-poll (204), stale verdicts (409 heartbeat, accepted[i]=false
+// report), a killed coordinator (502 → ErrUnavailable, the "retry"
+// signal) and a closed one (503 → ErrClosed, the "exit" signal). The
+// retired single-task routes are gone (404).
 func TestHTTPProtocolSurface(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	coord, err := NewCoordinator(CoordinatorConfig{
@@ -503,9 +505,20 @@ func TestHTTPProtocolSurface(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
 	defer cancel()
 
-	// Empty queue: claim long-poll drains to 204 → (nil, nil).
-	if task, err := cl.claim(ctx, "w1", 0); err != nil || task != nil {
-		t.Fatalf("claim on empty queue = %v, %v; want nil, nil", task, err)
+	for _, route := range []string{"/fleet/claim", "/fleet/report"} {
+		resp, err := http.Post(srv.URL+route, "application/json", strings.NewReader(`{"worker":"w1"}`))
+		if err != nil {
+			t.Fatalf("POST %s: %v", route, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s = %d, want 404 (route retired)", route, resp.StatusCode)
+		}
+	}
+
+	// Empty queue: claim long-poll drains to 204 → (nil, 0, nil).
+	if ts, granted, err := cl.claimBatch(ctx, "w1", 0, 1); err != nil || ts != nil || granted != 0 {
+		t.Fatalf("claimBatch on empty queue = %v, %d, %v; want nil, 0, nil", ts, granted, err)
 	}
 
 	ev, err := coord.Evaluator("job-1", testSpec())
@@ -515,8 +528,12 @@ func TestHTTPProtocolSurface(t *testing.T) {
 	done := evaluateAsync(ctx, ev, baselineRequest())
 	var task *Task
 	for task == nil {
-		if task, err = cl.claim(ctx, "w1", time.Second); err != nil {
-			t.Fatalf("claim: %v", err)
+		ts, _, err := cl.claimBatch(ctx, "w1", time.Second, 1)
+		if err != nil {
+			t.Fatalf("claimBatch: %v", err)
+		}
+		if len(ts) > 0 {
+			task = ts[0]
 		}
 	}
 	if ok, err := cl.heartbeat(ctx, "w1", task.ID, task.Epoch); err != nil || !ok {
@@ -525,17 +542,19 @@ func TestHTTPProtocolSurface(t *testing.T) {
 	if ok, err := cl.heartbeat(ctx, "w1", task.ID, task.Epoch+1); err != nil || ok {
 		t.Errorf("stale-epoch heartbeat = %v, %v; want false, nil (409)", ok, err)
 	}
-	if acc, err := cl.report(ctx, "w1", task.ID, task.Epoch+1, fabricatedOutcome(1), ""); err != nil || acc {
-		t.Errorf("stale-epoch report = %v, %v; want false, nil (409)", acc, err)
-	}
-	if acc, err := cl.report(ctx, "w1", task.ID, task.Epoch, fabricatedOutcome(1), ""); err != nil || !acc {
-		t.Fatalf("report = %v, %v; want true, nil", acc, err)
+	// One batch: the stale-epoch entry bounces, the live one is accepted.
+	verdicts, err := cl.reportBatch(ctx, "w1", []TaskReport{
+		{Task: task.ID, Epoch: task.Epoch + 1, Outcome: fabricatedOutcome(1)},
+		{Task: task.ID, Epoch: task.Epoch, Outcome: fabricatedOutcome(1)},
+	})
+	if err != nil || len(verdicts) != 2 || verdicts[0] || !verdicts[1] {
+		t.Fatalf("reportBatch = %v, %v; want [false true], nil", verdicts, err)
 	}
 	if res := <-done; res.err != nil {
 		t.Fatalf("evaluate: %v", res.err)
 	}
-	// A duplicate of the accepted report is stale through reportBatch too.
-	verdicts, err := cl.reportBatch(ctx, "w1", []TaskReport{
+	// A duplicate of the accepted report is stale.
+	verdicts, err = cl.reportBatch(ctx, "w1", []TaskReport{
 		{Task: task.ID, Epoch: task.Epoch, Outcome: fabricatedOutcome(1)},
 	})
 	if err != nil || len(verdicts) != 1 || verdicts[0] {
@@ -544,17 +563,11 @@ func TestHTTPProtocolSurface(t *testing.T) {
 
 	// Killed coordinator: every verb maps to 502 → ErrUnavailable.
 	coord.Kill()
-	if _, err := cl.claim(ctx, "w1", 0); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("claim after kill: %v, want ErrUnavailable", err)
-	}
 	if _, _, err := cl.claimBatch(ctx, "w1", 0, 2); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("claimBatch after kill: %v, want ErrUnavailable", err)
 	}
 	if _, err := cl.heartbeat(ctx, "w1", task.ID, task.Epoch); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("heartbeat after kill: %v, want ErrUnavailable", err)
-	}
-	if _, err := cl.report(ctx, "w1", task.ID, task.Epoch, fabricatedOutcome(1), ""); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("report after kill: %v, want ErrUnavailable", err)
 	}
 	if _, err := cl.reportBatch(ctx, "w1", []TaskReport{{Task: task.ID, Epoch: task.Epoch}}); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("reportBatch after kill: %v, want ErrUnavailable", err)
@@ -568,11 +581,7 @@ func TestHTTPProtocolSurface(t *testing.T) {
 	srv2 := httptest.NewServer(coord2.Handler())
 	defer srv2.Close()
 	coord2.Close()
-	cl2 := newClient(srv2.URL, nil)
-	if _, err := cl2.claim(ctx, "w1", 0); !errors.Is(err, ErrClosed) {
-		t.Errorf("claim after close: %v, want ErrClosed", err)
-	}
-	if _, _, err := cl2.claimBatch(ctx, "w1", 0, 2); !errors.Is(err, ErrClosed) {
+	if _, _, err := newClient(srv2.URL, nil).claimBatch(ctx, "w1", 0, 2); !errors.Is(err, ErrClosed) {
 		t.Errorf("claimBatch after close: %v, want ErrClosed", err)
 	}
 }

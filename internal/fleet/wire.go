@@ -22,7 +22,7 @@
 // Epoch rules: every lease grant increments the task's epoch, and a
 // report or heartbeat is valid only if it carries the epoch of the
 // currently live lease. A worker that stalls past its deadline and
-// reports late therefore presents a burned epoch and is rejected (409);
+// reports late therefore presents a burned epoch and is rejected;
 // the accepted report — there is exactly one per task — is the only one
 // whose cost and trace span enter the session. Workers self-fence: a
 // heartbeat rejection tells the worker its lease is gone, and it abandons
@@ -201,13 +201,6 @@ func (o *Outcome) decode() (core.EvalOutcome, error) {
 	return out, nil
 }
 
-// claimRequest asks for one task. WaitMillis bounds the long-poll; the
-// coordinator answers 204 when nothing becomes claimable in time.
-type claimRequest struct {
-	Worker     string `json:"worker"`
-	WaitMillis int64  `json:"wait_millis,omitempty"`
-}
-
 // heartbeatRequest extends a live lease.
 type heartbeatRequest struct {
 	Worker string `json:"worker"`
@@ -215,20 +208,11 @@ type heartbeatRequest struct {
 	Epoch  int    `json:"epoch"`
 }
 
-// reportRequest delivers a claim's outcome (or the evaluation error that
-// prevented one).
-type reportRequest struct {
-	Worker  string   `json:"worker"`
-	Task    string   `json:"task"`
-	Epoch   int      `json:"epoch"`
-	Outcome *Outcome `json:"outcome,omitempty"`
-	Error   string   `json:"error,omitempty"`
-}
-
-// claimBatchRequest asks for up to Max tasks in one round-trip. The
-// long-poll semantics match claimRequest: the coordinator grants
-// whatever is claimable the moment anything is (it never waits to fill
-// the batch — latency beats batch occupancy).
+// claimBatchRequest asks for up to Max tasks in one round-trip.
+// WaitMillis bounds the long-poll; the coordinator answers 204 when
+// nothing becomes claimable in time, and otherwise grants whatever is
+// claimable the moment anything is (it never waits to fill the batch —
+// latency beats batch occupancy).
 type claimBatchRequest struct {
 	Worker     string `json:"worker"`
 	WaitMillis int64  `json:"wait_millis,omitempty"`
@@ -246,9 +230,8 @@ type claimBatchResponse struct {
 	Granted int     `json:"granted,omitempty"`
 }
 
-// TaskReport is one claim's outcome inside a batched report. The epoch
-// rules are identical to a single report: each entry is accepted or
-// rejected independently against its own lease.
+// TaskReport is one claim's outcome inside a batched report. Each entry
+// is accepted or rejected independently against its own lease.
 type TaskReport struct {
 	Task    string   `json:"task"`
 	Epoch   int      `json:"epoch"`
@@ -264,9 +247,8 @@ type reportBatchRequest struct {
 }
 
 // reportBatchResponse echoes one accept/reject verdict per report, in
-// request order. A false entry is the batched form of 409: the lease
-// moved on, and the worker treats it exactly like a single-report
-// rejection (self-fence, no retry).
+// request order. A false entry means the lease moved on: the worker
+// drops that evaluation (self-fence, no retry).
 type reportBatchResponse struct {
 	Accepted []bool `json:"accepted"`
 }

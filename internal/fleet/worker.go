@@ -23,10 +23,11 @@ type WorkerConfig struct {
 	// Concurrency bounds simultaneous claims (default 1).
 	Concurrency int
 	// ClaimBatch is the number of tasks each claim round-trip may lease
-	// (default 1 = the unbatched protocol). Batching amortizes claim and
-	// report HTTP overhead across N evaluations; every lease in a batch
-	// still lives and dies individually (own epoch, own heartbeat
-	// verdict, own report acceptance).
+	// (default 1). It is a transport setting only: the protocol is the
+	// same at every size, and a larger batch amortizes claim and report
+	// HTTP overhead across N evaluations. Every lease in a batch still
+	// lives and dies individually (own epoch, own heartbeat verdict, own
+	// report acceptance).
 	ClaimBatch int
 	// Poll is the claim long-poll bound (default 2s).
 	Poll time.Duration
@@ -229,18 +230,7 @@ func (w *Worker) loop(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return nil
 		}
-		var ts []*Task
-		var granted int
-		var err error
-		if batch > 1 {
-			ts, granted, err = w.cl.claimBatch(ctx, w.cfg.ID, w.cfg.poll(), batch)
-		} else {
-			var t *Task
-			t, err = w.cl.claim(ctx, w.cfg.ID, w.cfg.poll())
-			if t != nil {
-				ts = []*Task{t}
-			}
-		}
+		ts, granted, err := w.cl.claimBatch(ctx, w.cfg.ID, w.cfg.poll(), batch)
 		if granted > 0 && granted < batch {
 			asked := batch
 			w.clampOnce.Do(func() {
@@ -283,35 +273,6 @@ func (w *Worker) loop(ctx context.Context) error {
 			failures = 0
 		}
 		w.executeBatch(ctx, ts)
-	}
-}
-
-// executeBatch dispatches one claim round-trip's leases. Fault-injected
-// tasks peel off to the single-task path (which knows how to die, stall
-// and replay); the healthy remainder shares one heartbeat loop and one
-// batched report. classify is a pure draw over (task ID, epoch), so
-// peeling here and re-classifying inside execute see the same verdict.
-func (w *Worker) executeBatch(ctx context.Context, ts []*Task) {
-	var healthy []*Task
-	for _, t := range ts {
-		if w.classify(t) != faults.WorkerOK {
-			if err := w.execute(ctx, t); err != nil {
-				w.logf("fleet worker %s: task %s: %v", w.cfg.ID, t.ID, err)
-			}
-			continue
-		}
-		healthy = append(healthy, t)
-	}
-	switch len(healthy) {
-	case 0:
-	case 1:
-		if err := w.execute(ctx, healthy[0]); err != nil {
-			w.logf("fleet worker %s: task %s: %v", w.cfg.ID, healthy[0].ID, err)
-		}
-	default:
-		if err := w.executeHealthyBatch(ctx, healthy); err != nil {
-			w.logf("fleet worker %s: batch of %d: %v", w.cfg.ID, len(healthy), err)
-		}
 	}
 }
 
@@ -377,109 +338,51 @@ func buildService(spec Spec, cache *funcytuner.CompileCache) (*funcytuner.EvalSe
 	return tuner.EvalService(prog, in)
 }
 
-// execute runs one leased claim end to end, applying the injected fault
-// mode. Lease hygiene: heartbeat while evaluating, self-fence (abandon
-// the evaluation) the moment a heartbeat says the lease is gone or the
-// coordinator has been unreachable for a full TTL, and never report a
-// claim whose lease we know we lost.
-func (w *Worker) execute(ctx context.Context, t *Task) error {
-	leaseTTL := time.Duration(t.LeaseMillis) * time.Millisecond
-	hb := time.Duration(t.HeartbeatMillis) * time.Millisecond
-	mode := w.classify(t)
-	if mode != faults.WorkerOK {
-		w.logf("fleet worker %s: injecting %v on task %s epoch %d", w.cfg.ID, mode, t.ID, t.Epoch)
-	}
-	if mode == faults.WorkerDieMidEval {
-		// Go dark mid-evaluation: no heartbeat, no report. Sitting out
-		// the lease models the death; looping again models the rejoin.
-		sleepCtx(ctx, leaseTTL+hb)
-		return nil
-	}
-
-	svc, err := w.service(t)
-	if err != nil {
-		_, rerr := w.cl.report(ctx, w.cfg.ID, t.ID, t.Epoch, nil, err.Error())
-		return rerr
-	}
-	cvs, err := decodeCVs(svc.Space(), t.CVs)
-	if err != nil {
-		_, rerr := w.cl.report(ctx, w.cfg.ID, t.ID, t.Epoch, nil, err.Error())
-		return rerr
-	}
-	req := funcytuner.EvalRequest{Phase: t.Phase, Sample: t.Sample, CVs: cvs}
-
-	evalCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	hbStop := make(chan struct{})
-	var hbWG sync.WaitGroup
-	if mode == faults.WorkerStall {
-		// Injected hang: blow past the lease deadline without a single
-		// heartbeat, then wake up and report anyway — the late report
-		// must bounce off the burned epoch.
-		sleepCtx(ctx, leaseTTL+hb)
-	} else {
-		hbWG.Add(1)
-		go func() {
-			defer hbWG.Done()
-			w.heartbeatLoop(evalCtx, cancel, hbStop, t, leaseTTL, hb)
-		}()
-	}
-
-	out, evalErr := svc.Evaluate(evalCtx, req)
-	close(hbStop)
-	hbWG.Wait()
-
-	if ctx.Err() != nil {
-		return nil // shutting down; the lease will expire on its own
-	}
-	if evalCtx.Err() != nil {
-		// Self-fenced: the lease is gone, nobody will accept a report.
-		w.logf("fleet worker %s: fenced off task %s epoch %d", w.cfg.ID, t.ID, t.Epoch)
-		return nil
-	}
-
-	var wireOut *Outcome
-	var errStr string
-	if evalErr != nil {
-		errStr = evalErr.Error()
-	} else {
-		wireOut = encodeOutcome(out)
-	}
-	accepted, rerr := w.cl.report(ctx, w.cfg.ID, t.ID, t.Epoch, wireOut, errStr)
-	if rerr != nil {
-		return rerr // lease expires on its own; the claim is re-dispatched
-	}
-	if !accepted {
-		w.logf("fleet worker %s: report for task %s epoch %d rejected as stale", w.cfg.ID, t.ID, t.Epoch)
-	}
-	switch mode {
-	case faults.WorkerStaleReport:
-		// Replay the report, modeling a rejoining worker flushing its
-		// send buffer: the duplicate must be rejected and change nothing.
-		w.cl.report(ctx, w.cfg.ID, t.ID, t.Epoch, wireOut, errStr)
-	case faults.WorkerReportThenDie:
-		// The report landed; now the worker goes dark before its next
-		// claim, so peers must carry the run until it rejoins.
-		sleepCtx(ctx, leaseTTL)
-	}
-	return nil
-}
-
-// executeHealthyBatch evaluates N leased claims sequentially under one
-// shared heartbeat loop, then delivers every surviving outcome in a
-// single batched report. Lease hygiene is per task, exactly as in
-// execute: a task whose heartbeat bounces is fenced (its evaluation is
-// skipped or abandoned and it is excluded from the report) without
-// disturbing its batchmates.
-func (w *Worker) executeHealthyBatch(ctx context.Context, ts []*Task) error {
+// executeBatch runs one claim round-trip's leases end to end — a batch
+// of one is the unbatched case — under one heartbeat loop and one
+// batched report. Lease hygiene is per task: a lease whose heartbeat
+// bounces is fenced (its evaluation is skipped or abandoned and it is
+// left out of the report) without disturbing its batchmates, and a
+// fenced lease never turns into a stale report.
+//
+// Injected fault modes are per lease as well. A lease that draws
+// die_mid_eval or stall goes dark on its own: it is never heartbeated,
+// while every other lease of the claim is heartbeated from the moment it
+// is granted, so one fault cannot expire its batchmates.
+func (w *Worker) executeBatch(ctx context.Context, ts []*Task) {
 	leaseTTL := time.Duration(ts[0].LeaseMillis) * time.Millisecond
 	hb := time.Duration(ts[0].HeartbeatMillis) * time.Millisecond
 
+	modes := make([]faults.WorkerClass, len(ts))
 	evalCtxs := make([]context.Context, len(ts))
-	cancels := make([]context.CancelFunc, len(ts))
-	for i := range ts {
-		evalCtxs[i], cancels[i] = context.WithCancel(ctx)
-		defer cancels[i]()
+	var watched []*Task
+	var fences []context.CancelFunc
+	var sitOut time.Duration
+	for i, t := range ts {
+		modes[i] = w.classify(t)
+		if modes[i] != faults.WorkerOK {
+			w.logf("fleet worker %s: injecting %v on task %s epoch %d", w.cfg.ID, modes[i], t.ID, t.Epoch)
+		}
+		var cancel context.CancelFunc
+		evalCtxs[i], cancel = context.WithCancel(ctx)
+		defer cancel()
+		switch modes[i] {
+		case faults.WorkerDieMidEval:
+			// Go dark on this lease: no heartbeat, no evaluation, no
+			// report. Sitting out the lease before the next claim models
+			// the death; claiming again models the rejoin.
+			sitOut = max(sitOut, leaseTTL+hb)
+		case faults.WorkerStall:
+			// Hang without a single heartbeat (below, before evaluating).
+		case faults.WorkerReportThenDie:
+			// The report lands; then the worker goes dark before its next
+			// claim, so peers must carry the run until it rejoins.
+			sitOut = max(sitOut, leaseTTL)
+			fallthrough
+		default:
+			watched = append(watched, t)
+			fences = append(fences, cancel)
+		}
 	}
 
 	hbStop := make(chan struct{})
@@ -487,13 +390,21 @@ func (w *Worker) executeHealthyBatch(ctx context.Context, ts []*Task) error {
 	hbWG.Add(1)
 	go func() {
 		defer hbWG.Done()
-		w.batchHeartbeatLoop(ctx, ts, cancels, hbStop, leaseTTL, hb)
+		w.batchHeartbeatLoop(ctx, watched, fences, hbStop, leaseTTL, hb)
 	}()
 
 	outs := make([]*Outcome, len(ts))
 	errStrs := make([]string, len(ts))
 	for i, t := range ts {
-		if ctx.Err() != nil || evalCtxs[i].Err() != nil {
+		switch modes[i] {
+		case faults.WorkerDieMidEval:
+			continue
+		case faults.WorkerStall:
+			// Blow past the lease deadline, then evaluate and report
+			// anyway: the late report must bounce off the burned epoch.
+			sleepCtx(ctx, leaseTTL+hb)
+		}
+		if evalCtxs[i].Err() != nil {
 			continue // shutting down or fenced before this slot's turn
 		}
 		svc, err := w.service(t)
@@ -517,45 +428,53 @@ func (w *Worker) executeHealthyBatch(ctx context.Context, ts []*Task) error {
 	hbWG.Wait()
 
 	if ctx.Err() != nil {
-		return nil // shutting down; the leases expire on their own
+		return // shutting down; the leases expire on their own
 	}
-	// Report only claims whose lease we still believe in. A fenced task
-	// is dropped (self-fencing): the coordinator already re-dispatched
-	// it, and its slot in the batch must not turn into a stale report.
-	reports := make([]TaskReport, 0, len(ts))
-	reported := make([]*Task, 0, len(ts))
+	var reports []TaskReport
+	var reported []int
 	for i, t := range ts {
 		if evalCtxs[i].Err() != nil {
 			w.logf("fleet worker %s: fenced off task %s epoch %d", w.cfg.ID, t.ID, t.Epoch)
 			continue
 		}
 		if outs[i] == nil && errStrs[i] == "" {
-			continue // never evaluated (shutdown mid-batch)
+			continue // never evaluated (died on this lease)
 		}
 		reports = append(reports, TaskReport{Task: t.ID, Epoch: t.Epoch, Outcome: outs[i], Error: errStrs[i]})
-		reported = append(reported, t)
+		reported = append(reported, i)
 	}
-	if len(reports) == 0 {
-		return nil
-	}
-	accepted, rerr := w.cl.reportBatch(ctx, w.cfg.ID, reports)
-	if rerr != nil {
-		return rerr // leases expire on their own; the claims are re-dispatched
-	}
-	for i, ok := range accepted {
-		if !ok {
-			w.logf("fleet worker %s: report for task %s epoch %d rejected as stale",
-				w.cfg.ID, reported[i].ID, reported[i].Epoch)
+	if len(reports) > 0 {
+		accepted, err := w.cl.reportBatch(ctx, w.cfg.ID, reports)
+		if err != nil {
+			// The leases expire on their own; the claims are re-dispatched.
+			w.logf("fleet worker %s: report of %d: %v", w.cfg.ID, len(reports), err)
+		}
+		var replay []TaskReport
+		for j, ok := range accepted {
+			t := ts[reported[j]]
+			switch {
+			case !ok:
+				w.logf("fleet worker %s: report for task %s epoch %d rejected as stale", w.cfg.ID, t.ID, t.Epoch)
+			case modes[reported[j]] == faults.WorkerStaleReport:
+				replay = append(replay, reports[j])
+			}
+		}
+		if len(replay) > 0 {
+			// Replay the accepted reports, modeling a rejoining worker
+			// flushing its send buffer: the duplicates must be rejected
+			// and change nothing.
+			w.cl.reportBatch(ctx, w.cfg.ID, replay)
 		}
 	}
-	return nil
+	sleepCtx(ctx, sitOut)
 }
 
-// batchHeartbeatLoop keeps a batch's leases alive while the evaluations
-// run. Verdicts are per task: a bounced heartbeat fences only that
-// task. Transport silence for a full lease TTL fences the whole batch —
-// a partitioned worker must assume every lease expired.
-func (w *Worker) batchHeartbeatLoop(ctx context.Context, ts []*Task, cancels []context.CancelFunc, stop <-chan struct{}, leaseTTL, hb time.Duration) {
+// batchHeartbeatLoop keeps a claim's watched leases alive while the
+// evaluations run. Verdicts are per task: a bounced heartbeat fences
+// only that task. Transport silence for a full lease TTL fences every
+// watched lease — a partitioned worker must assume they all expired
+// rather than report into burned epochs.
+func (w *Worker) batchHeartbeatLoop(ctx context.Context, ts []*Task, fences []context.CancelFunc, stop <-chan struct{}, leaseTTL, hb time.Duration) {
 	if hb <= 0 {
 		hb = leaseTTL / 4
 	}
@@ -588,7 +507,7 @@ func (w *Worker) batchHeartbeatLoop(ctx context.Context, ts []*Task, cancels []c
 					anyLive = true
 				case err == nil && !ok:
 					live[i] = false
-					cancels[i]()
+					fences[i]()
 				default:
 					anyErr = true
 					anyLive = true
@@ -601,52 +520,13 @@ func (w *Worker) batchHeartbeatLoop(ctx context.Context, ts []*Task, cancels []c
 				for i := range ts {
 					if live[i] {
 						live[i] = false
-						cancels[i]()
+						fences[i]()
 					}
 				}
 				return
 			}
 			if !anyLive {
 				return
-			}
-		}
-	}
-}
-
-// heartbeatLoop keeps one lease alive while the evaluation runs. It
-// fences (cancels the evaluation) when the coordinator says the lease is
-// gone, or when no heartbeat has succeeded for a whole lease TTL — the
-// partitioned worker must assume its lease expired rather than report
-// into a burned epoch.
-func (w *Worker) heartbeatLoop(ctx context.Context, fence context.CancelFunc, stop <-chan struct{}, t *Task, leaseTTL, hb time.Duration) {
-	if hb <= 0 {
-		hb = leaseTTL / 4
-	}
-	if hb <= 0 {
-		hb = time.Second
-	}
-	ticker := time.NewTicker(hb)
-	defer ticker.Stop()
-	lastOK := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			ok, err := w.cl.heartbeat(ctx, w.cfg.ID, t.ID, t.Epoch)
-			switch {
-			case err == nil && ok:
-				lastOK = time.Now()
-			case err == nil && !ok:
-				fence()
-				return
-			default:
-				if time.Since(lastOK) > leaseTTL {
-					fence()
-					return
-				}
 			}
 		}
 	}

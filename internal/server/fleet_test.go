@@ -132,7 +132,7 @@ func TestHealthzReportsState(t *testing.T) {
 	}
 
 	// A worker's first claim registers it; the probe sees the fleet grow.
-	if _, err := coord.Claim(context.Background(), "probe-worker", 0); err != nil {
+	if _, err := coord.ClaimBatch(context.Background(), "probe-worker", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = http.Get(ts.URL + "/healthz")
