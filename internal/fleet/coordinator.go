@@ -199,7 +199,7 @@ type task struct {
 	spec   Spec
 	phase  string
 	sample int
-	cvs    [][]int
+	cvs    []string
 	// key is the job-agnostic adoption identity (journal.go); 0 when
 	// journaling is off.
 	key uint64

@@ -710,28 +710,6 @@ func TestWireOutcomeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireCVRoundTrip(t *testing.T) {
-	space := flagspec.ICC()
-	cvs := space.Sample(nil, 0) // empty is fine; use explicit samples below
-	_ = cvs
-	baseline := space.Baseline()
-	alt := baseline.With(0, space.AltValue(0))
-	rows := encodeCVs([]flagspec.CV{baseline, alt})
-	back, err := decodeCVs(space, rows)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !back[0].Equal(baseline) || !back[1].Equal(alt) {
-		t.Errorf("CV round-trip mangled values")
-	}
-	if back[0].Key() != baseline.Key() || back[1].Key() != alt.Key() {
-		t.Errorf("CV round-trip changed fingerprints")
-	}
-	if _, err := decodeCVs(space, [][]int{{-1}}); err == nil {
-		t.Errorf("bad CV row decoded")
-	}
-}
-
 func TestSpecValidate(t *testing.T) {
 	good := testSpec()
 	if err := good.validate(); err != nil {

@@ -30,8 +30,11 @@ import (
 // also stops replay, which is what keeps recovery from double-granting
 // a live epoch.
 
-// journalVersion is the record format version.
-const journalVersion = 1
+// journalVersion is the record format version; version 2 carries CV
+// rows as hex strings (Task.CVs). A journal whose first record is an
+// intact envelope of another version is refused at open, never
+// replayed or truncated.
+const journalVersion = 2
 
 // Journal op codes. "enqueue" and "task" both introduce a task ("task"
 // is the compacted form carrying accumulated epoch/backoff state);
@@ -60,14 +63,14 @@ type journalRecord struct {
 // fields it needs and omits the rest. Times are absolute unix
 // nanoseconds so deadlines survive the restart they exist for.
 type journalBody struct {
-	Seq    int64   `json:"seq"`
-	Op     string  `json:"op"`
-	Task   string  `json:"task,omitempty"`
-	Job    string  `json:"job,omitempty"`
-	Spec   *Spec   `json:"spec,omitempty"`
-	Phase  string  `json:"phase,omitempty"`
-	Sample int     `json:"sample,omitempty"`
-	CVs    [][]int `json:"cvs,omitempty"`
+	Seq    int64    `json:"seq"`
+	Op     string   `json:"op"`
+	Task   string   `json:"task,omitempty"`
+	Job    string   `json:"job,omitempty"`
+	Spec   *Spec    `json:"spec,omitempty"`
+	Phase  string   `json:"phase,omitempty"`
+	Sample int      `json:"sample,omitempty"`
+	CVs    []string `json:"cvs,omitempty"`
 	// Epoch on a claim is the granted lease generation; on a requeue it
 	// is non-zero only for the recovery-time bump that fences pre-crash
 	// leases whose deadline had already passed.
@@ -106,11 +109,11 @@ func encodeJournalRecord(b journalBody) ([]byte, error) {
 }
 
 // adoptionKey is a task's job-agnostic identity: a hash of every input
-// that determines its outcome (spec, phase, sample, CV matrix) and
+// that determines its outcome (spec, phase, sample, CV rows) and
 // nothing that doesn't (job ID, task ID, epochs). A re-attached job
 // gets a fresh job ID, so recovered in-flight tasks and journaled
 // outcomes are matched to its Evaluate calls by this key.
-func adoptionKey(spec Spec, phase string, sample int, cvs [][]int) uint64 {
+func adoptionKey(spec Spec, phase string, sample int, cvs []string) uint64 {
 	var h xrand.Hasher
 	h.Add(0x6674616b) // "ftak": fleet task adoption key domain
 	h.Add(xrand.HashString(spec.Benchmark))
@@ -123,10 +126,7 @@ func adoptionKey(spec Spec, phase string, sample int, cvs [][]int) uint64 {
 	h.Add(uint64(sample))
 	h.Add(uint64(len(cvs)))
 	for _, row := range cvs {
-		h.Add(uint64(len(row)))
-		for _, v := range row {
-			h.Add(uint64(v))
-		}
+		h.Add(xrand.HashString(row))
 	}
 	return h.Sum()
 }
@@ -139,7 +139,7 @@ type replayTask struct {
 	spec   Spec
 	phase  string
 	sample int
-	cvs    [][]int
+	cvs    []string
 	epoch  int
 	losses int
 	// notBefore is the requeue backoff gate, unix nanos (0 = claimable).
@@ -352,11 +352,16 @@ type journal struct {
 // openJournal replays path (a missing file is an empty journal) and
 // opens it for appending. A torn or corrupt tail is first truncated
 // away — atomically, via the fsync-hardened rewrite — so appends extend
-// the last good record rather than garbage.
+// the last good record rather than garbage. A journal written under
+// another record version is refused and left untouched: replay would
+// stop at its first record and the truncation would wipe it.
 func openJournal(path string) (*journal, *replayState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("fleet: reading journal %s: %w", path, err)
+	}
+	if v, ok := firstRecordVersion(data); ok && v != journalVersion {
+		return nil, nil, fmt.Errorf("fleet: journal %s has record version %d, this build reads version %d", path, v, journalVersion)
 	}
 	st, good := replayJournal(data)
 	if good < len(data) {
@@ -369,6 +374,21 @@ func openJournal(path string) (*journal, *replayState, error) {
 		return nil, nil, fmt.Errorf("fleet: opening journal %s: %w", path, err)
 	}
 	return &journal{path: path, f: f, seq: st.seq, records: st.records}, st, nil
+}
+
+// firstRecordVersion is the version of the journal's first record, if
+// that record is an intact envelope (complete line, valid JSON,
+// matching checksum).
+func firstRecordVersion(data []byte) (int, bool) {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		return 0, false
+	}
+	var rec journalRecord
+	if json.Unmarshal(data[:nl], &rec) != nil || journalChecksum(rec.Body) != rec.Sum {
+		return 0, false
+	}
+	return rec.V, true
 }
 
 // append writes the bodies as consecutive records and syncs once — a

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,8 +34,8 @@ func sampleJournal(t *testing.T) []byte {
 	far := time.Now().Add(time.Hour).UnixNano()
 	var buf bytes.Buffer
 	for _, b := range []journalBody{
-		{Seq: 1, Op: opEnqueue, Task: "job-1/cfr/0#1", Job: "job-1", Spec: &spec, Phase: "cfr", Sample: 0, CVs: [][]int{{1, 2}}},
-		{Seq: 2, Op: opEnqueue, Task: "job-1/cfr/1#2", Job: "job-1", Spec: &spec, Phase: "cfr", Sample: 1, CVs: [][]int{{3, 4}}},
+		{Seq: 1, Op: opEnqueue, Task: "job-1/cfr/0#1", Job: "job-1", Spec: &spec, Phase: "cfr", Sample: 0, CVs: []string{"0102"}},
+		{Seq: 2, Op: opEnqueue, Task: "job-1/cfr/1#2", Job: "job-1", Spec: &spec, Phase: "cfr", Sample: 1, CVs: []string{"0304"}},
 		{Seq: 3, Op: opClaim, Task: "job-1/cfr/0#1", Worker: "w1", Epoch: 1, Deadline: far},
 		{Seq: 4, Op: opHB, Task: "job-1/cfr/0#1", Worker: "w1", Epoch: 1, Deadline: far + 1},
 		{Seq: 5, Op: opReport, Task: "job-1/cfr/0#1", Worker: "w1", Epoch: 1, Outcome: fabricatedOutcome(1.25)},
@@ -64,7 +66,7 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 	if len(st.order) != 1 || st.order[0] != "job-1/cfr/1#2" {
 		t.Errorf("order = %v, want [task B]", st.order)
 	}
-	key := adoptionKey(testSpec(), "cfr", 0, [][]int{{1, 2}})
+	key := adoptionKey(testSpec(), "cfr", 0, []string{"0102"})
 	ro, ok := st.completed[key]
 	if !ok || ro.out == nil || ro.out.Total != formatFloat(1.25) {
 		t.Errorf("completed outcome for task A missing or wrong: %+v", ro)
@@ -160,7 +162,7 @@ func TestJournalConsistencyRulesStopReplay(t *testing.T) {
 	spec := testSpec()
 	far := time.Now().Add(time.Hour).UnixNano()
 	base := []journalBody{
-		{Seq: 1, Op: opEnqueue, Task: "A", Job: "j", Spec: &spec, Phase: "cfr", Sample: 0, CVs: [][]int{{1}}},
+		{Seq: 1, Op: opEnqueue, Task: "A", Job: "j", Spec: &spec, Phase: "cfr", Sample: 0, CVs: []string{"01"}},
 		{Seq: 2, Op: opClaim, Task: "A", Worker: "w1", Epoch: 1, Deadline: far},
 	}
 	badSpec := spec
@@ -261,6 +263,42 @@ func TestOpenJournalTruncatesTornTail(t *testing.T) {
 	}
 	if st2.records != 8 || st2.seq != 8 {
 		t.Errorf("after append: records/seq = %d/%d, want 8/8", st2.records, st2.seq)
+	}
+}
+
+// TestOpenJournalRefusesForeignVersion: a journal written under an
+// older record version (CV rows as int arrays) must be refused at open
+// and left byte-for-byte untouched — replaying it would stop at the
+// first record and the torn-tail truncation would wipe every queued
+// task, lease and accepted outcome.
+func TestOpenJournalRefusesForeignVersion(t *testing.T) {
+	v1Line := func(body string) string {
+		return fmt.Sprintf(`{"v":1,"sum":%q,"body":%s}`, journalChecksum([]byte(body)), body) + "\n"
+	}
+	spec, err := json.Marshal(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := v1Line(`{"seq":1,"op":"enqueue","task":"job-1/cfr/0#1","job":"job-1","spec":`+string(spec)+`,"phase":"cfr","cvs":[[1,2]]}`) +
+		v1Line(`{"seq":2,"op":"claim","task":"job-1/cfr/0#1","epoch":1,"worker":"w1","deadline":1}`) +
+		`{"v":1,"sum":"12` // a torn tail must not turn refusal into truncation
+	path := filepath.Join(t.TempDir(), "journal")
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewCoordinator(CoordinatorConfig{JournalPath: path})
+	if err == nil {
+		t.Fatal("coordinator opened a version-1 journal")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "version 2") {
+		t.Errorf("error %q does not name both versions", msg)
+	}
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(onDisk) != v1 {
+		t.Errorf("foreign journal modified: %d bytes on disk, want %d", len(onDisk), len(v1))
 	}
 }
 
@@ -580,18 +618,18 @@ func TestJournalCompaction(t *testing.T) {
 // changes by construction).
 func TestAdoptionKeyIdentity(t *testing.T) {
 	spec := testSpec()
-	base := adoptionKey(spec, "cfr", 3, [][]int{{1, 2}})
-	if adoptionKey(spec, "cfr", 3, [][]int{{1, 2}}) != base {
+	base := adoptionKey(spec, "cfr", 3, []string{"0102"})
+	if adoptionKey(spec, "cfr", 3, []string{"0102"}) != base {
 		t.Error("key not deterministic")
 	}
 	spec2 := spec
 	spec2.Seed = "other"
 	for name, other := range map[string]uint64{
-		"phase":  adoptionKey(spec, "collect", 3, [][]int{{1, 2}}),
-		"sample": adoptionKey(spec, "cfr", 4, [][]int{{1, 2}}),
-		"cvs":    adoptionKey(spec, "cfr", 3, [][]int{{1, 3}}),
-		"shape":  adoptionKey(spec, "cfr", 3, [][]int{{1}, {2}}),
-		"seed":   adoptionKey(spec2, "cfr", 3, [][]int{{1, 2}}),
+		"phase":  adoptionKey(spec, "collect", 3, []string{"0102"}),
+		"sample": adoptionKey(spec, "cfr", 4, []string{"0102"}),
+		"cvs":    adoptionKey(spec, "cfr", 3, []string{"0103"}),
+		"shape":  adoptionKey(spec, "cfr", 3, []string{"01", "02"}),
+		"seed":   adoptionKey(spec2, "cfr", 3, []string{"0102"}),
 	} {
 		if other == base {
 			t.Errorf("key ignores %s", name)
@@ -610,7 +648,7 @@ func FuzzJournalReplay(f *testing.F) {
 	far := time.Now().Add(time.Hour).UnixNano()
 	var clean bytes.Buffer
 	for _, b := range []journalBody{
-		{Seq: 1, Op: opEnqueue, Task: "A", Job: "j", Spec: &spec, Phase: "cfr", Sample: 0, CVs: [][]int{{1, 2}}},
+		{Seq: 1, Op: opEnqueue, Task: "A", Job: "j", Spec: &spec, Phase: "cfr", Sample: 0, CVs: []string{"0102"}},
 		{Seq: 2, Op: opClaim, Task: "A", Worker: "w1", Epoch: 1, Deadline: far},
 		{Seq: 3, Op: opReport, Task: "A", Worker: "w1", Epoch: 1, Outcome: fabricatedOutcome(1.5)},
 		{Seq: 4, Op: opTask, Task: "B", Job: "j", Spec: &spec, Phase: "cfr", Sample: 1, Epoch: 2, Losses: 1, NotBefore: far},
@@ -628,7 +666,7 @@ func FuzzJournalReplay(f *testing.F) {
 	}
 	data := clean.Bytes()
 	f.Add(data)
-	f.Add(data[:len(data)-7]) // torn tail
+	f.Add(data[:len(data)-7])                         // torn tail
 	f.Add(append(append([]byte{}, data...), data...)) // full duplication
 	flipped := append([]byte{}, data...)
 	flipped[len(flipped)/2] ^= 0x10

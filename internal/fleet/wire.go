@@ -30,6 +30,7 @@
 package fleet
 
 import (
+	"encoding/hex"
 	"fmt"
 	"strconv"
 
@@ -91,11 +92,15 @@ type Task struct {
 	Job string `json:"job"`
 	// Spec is the owning run's deterministic identity.
 	Spec Spec `json:"spec"`
-	// Phase and Sample locate the claim in the pipeline; CVs is the
-	// flag-value matrix (one row per CV, one column per flag).
-	Phase  string  `json:"phase"`
-	Sample int     `json:"sample"`
-	CVs    [][]int `json:"cvs"`
+	// Phase and Sample locate the claim in the pipeline; CVs holds one
+	// row per CV, each a lowercase hex string with two digits per flag
+	// (the flag's value index). A JSON string decodes far cheaper than
+	// an array of ints, and is as wide: "05" versus "5,". The encoding
+	// has no version negotiation, so coordinator and workers must run
+	// the same build.
+	Phase  string   `json:"phase"`
+	Sample int      `json:"sample"`
+	CVs    []string `json:"cvs"`
 	// Epoch is the lease generation. Heartbeats and the report must echo
 	// it; any other value is stale.
 	Epoch int `json:"epoch"`
@@ -130,26 +135,38 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) 
 // parseFloat is the inverse of formatFloat.
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
-// encodeCVs flattens CVs to the wire matrix.
-func encodeCVs(cvs []flagspec.CV) [][]int {
-	out := make([][]int, len(cvs))
+// encodeCVs renders CVs as wire rows: each CV's value indices, one
+// byte per flag, hex-encoded.
+func encodeCVs(cvs []flagspec.CV) []string {
+	out := make([]string, len(cvs))
+	var raw, digits []byte
 	for i, cv := range cvs {
-		n := cv.Space().NumFlags()
-		row := make([]int, n)
-		for f := 0; f < n; f++ {
-			row[f] = cv.Value(f)
+		raw = raw[:0]
+		for f := 0; f < cv.Space().NumFlags(); f++ {
+			raw = append(raw, byte(cv.Value(f)))
 		}
-		out[i] = row
+		digits = hex.AppendEncode(digits[:0], raw)
+		out[i] = string(digits)
 	}
 	return out
 }
 
-// decodeCVs rebuilds CVs from the wire matrix against the worker's
-// space, validating every value.
-func decodeCVs(space *flagspec.Space, rows [][]int) ([]flagspec.CV, error) {
+// decodeCVs rebuilds CVs from wire rows against the worker's space,
+// rejecting malformed hex and any row space.Make refuses (wrong flag
+// count, index out of range).
+func decodeCVs(space *flagspec.Space, rows []string) ([]flagspec.CV, error) {
 	out := make([]flagspec.CV, len(rows))
+	var vals []int
 	for i, row := range rows {
-		cv, err := space.Make(row)
+		raw, err := hex.DecodeString(row)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: CV %d: %w", i, err)
+		}
+		vals = vals[:0]
+		for _, v := range raw {
+			vals = append(vals, int(v))
+		}
+		cv, err := space.Make(vals)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: CV %d: %w", i, err)
 		}

@@ -106,9 +106,13 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxJobSpecBytes bounds a POST /jobs body. A JobSpec is a handful of
+// short fields, so anything near this size is not a job spec.
+const maxJobSpecBytes = 64 << 10
+
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("server: bad job spec: %w", err))

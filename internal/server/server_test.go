@@ -207,6 +207,31 @@ func TestAPIRejections(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedBody: a POST /jobs body past the size bound
+// is refused with 400 before any job exists, even when it is otherwise a
+// well-formed spec.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	mgr := newTestManager(t, Config{})
+	ts := httptest.NewServer(NewServer(mgr))
+	defer ts.Close()
+
+	resp := postJSON(t, ts.URL+"/jobs", JobSpec{Seed: strings.Repeat("s", maxJobSpecBytes)})
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized body: got %d, want 400", resp.StatusCode)
+	}
+	if !strings.Contains(string(body), "too large") {
+		t.Errorf("oversized body: error %s does not say the body is too large", body)
+	}
+	if jobs := mgr.List(); len(jobs) != 0 {
+		t.Errorf("oversized body created %d jobs", len(jobs))
+	}
+}
+
 // stallGate passes through n acquisitions, then blocks the n+1th until
 // its context is cancelled; every later acquisition passes freely. With
 // Workers=1 this cancels a job at a deterministic evaluation boundary.
