@@ -141,7 +141,7 @@ func (ck *Checkpoint) Validate() error {
 			return fmt.Errorf("core: bad quarantine key %q", q)
 		}
 	}
-	return ck.Cost.validate()
+	return ck.Cost.Validate()
 }
 
 // DecodeCheckpoint parses and validates a checkpoint document.

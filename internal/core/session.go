@@ -363,12 +363,21 @@ func (s CostSnapshot) addEval(ec evalCost) CostSnapshot {
 	return s
 }
 
-func (s CostSnapshot) validate() error {
-	for _, v := range []int64{s.Compiles, s.Runs, s.SimMicros, s.Retries,
-		s.WastedCompiles, s.FaultMicros, s.CompileFails, s.RunCrashes,
-		s.Timeouts, s.Flakes} {
-		if v < 0 {
-			return fmt.Errorf("core: negative cost counter in checkpoint")
+// Validate rejects a snapshot with a negative counter, naming it. A
+// snapshot read from outside the process (a checkpoint, a fleet report)
+// must pass before it reaches a cost ledger.
+func (s CostSnapshot) Validate() error {
+	for _, c := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"compiles", s.Compiles}, {"runs", s.Runs}, {"sim_micros", s.SimMicros},
+		{"retries", s.Retries}, {"wasted_compiles", s.WastedCompiles},
+		{"fault_micros", s.FaultMicros}, {"compile_fails", s.CompileFails},
+		{"run_crashes", s.RunCrashes}, {"timeouts", s.Timeouts}, {"flakes", s.Flakes},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("core: negative cost counter %s (%d)", c.name, c.v)
 		}
 	}
 	return nil

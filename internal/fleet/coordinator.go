@@ -778,7 +778,7 @@ func (ro replayOutcome) result(phase string, sample int) taskResult {
 	case ro.out == nil:
 		res.err = fmt.Errorf("fleet: recovered report for %s/%d has no outcome", phase, sample)
 	default:
-		res.out, res.err = ro.out.decode()
+		res.out, res.err = ro.out.decode(phase, sample)
 	}
 	return res
 }
@@ -1021,7 +1021,7 @@ func (c *Coordinator) Report(worker, taskID string, epoch int, out *Outcome, eva
 	case out == nil:
 		res.err = fmt.Errorf("fleet: worker %s reported task %s with no outcome", worker, taskID)
 	default:
-		res.out, res.err = out.decode()
+		res.out, res.err = out.decode(t.phase, t.sample)
 	}
 	select {
 	case t.done <- res:

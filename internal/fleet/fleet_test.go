@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,7 +17,6 @@ import (
 	"funcytuner/internal/faults"
 	"funcytuner/internal/flagspec"
 	"funcytuner/internal/metrics"
-	"funcytuner/internal/trace"
 )
 
 const testTimeout = 90 * time.Second
@@ -385,9 +383,16 @@ func claimOne(ctx context.Context, coord *Coordinator, worker string, maxWait ti
 	return ts[0], nil
 }
 
-// fabricatedOutcome is a minimal valid wire outcome for protocol tests.
+// fabricatedOutcome is a valid wire outcome for protocol tests: a clean
+// evaluation measuring total, with its compile/link/run/eval span rows.
 func fabricatedOutcome(total float64) *Outcome {
-	return &Outcome{Total: formatFloat(total), Cost: core.CostSnapshot{Runs: 1, SimMicros: int64(total * 1e6)}}
+	secs := formatFloat(total)
+	return &Outcome{
+		Total: secs,
+		Cost:  core.CostSnapshot{Runs: 1, SimMicros: int64(total * 1e6)},
+		Span: []string{"compile 0  1 0  ", "link 1  0 0  ",
+			"run 2 ok 0 0 " + secs + " " + secs, "eval 3 ok 0 0 " + secs + " " + secs},
+	}
 }
 
 // baselineRequest is a minimal claim for protocol tests.
@@ -668,45 +673,6 @@ func TestCoordinatorConfigValidate(t *testing.T) {
 		if c != nil {
 			c.Close()
 		}
-	}
-}
-
-func TestWireOutcomeRoundTrip(t *testing.T) {
-	in := core.EvalOutcome{
-		PerModule:   []float64{1.5, math.Inf(1), 0.25},
-		Total:       math.Inf(1),
-		Cost:        core.CostSnapshot{Compiles: 7, Runs: 2, SimMicros: 123456, Flakes: 1},
-		Quarantined: []uint64{0xdeadbeef, 42},
-		Events: []trace.Event{
-			{Kind: trace.KindCompile, Phase: "cfr", Sample: 3, Modules: 7},
-			{Kind: trace.KindEval, Phase: "cfr", Sample: 3, Step: 2, Name: "lost", Seconds: math.Inf(1), Sim: 0.5},
-		},
-	}
-	out, err := encodeOutcome(in).decode()
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !math.IsInf(out.Total, 1) {
-		t.Errorf("total %v, want +Inf", out.Total)
-	}
-	if len(out.PerModule) != 3 || out.PerModule[0] != 1.5 || !math.IsInf(out.PerModule[1], 1) || out.PerModule[2] != 0.25 {
-		t.Errorf("per-module %v mangled", out.PerModule)
-	}
-	if out.Cost != in.Cost {
-		t.Errorf("cost %+v != %+v", out.Cost, in.Cost)
-	}
-	if len(out.Quarantined) != 2 || out.Quarantined[0] != 0xdeadbeef || out.Quarantined[1] != 42 {
-		t.Errorf("quarantine keys %v mangled", out.Quarantined)
-	}
-	if len(out.Events) != 2 || out.Events[1].Name != "lost" || !math.IsInf(out.Events[1].Seconds, 1) {
-		t.Errorf("events mangled: %+v", out.Events)
-	}
-
-	if _, err := (&Outcome{Total: "bogus"}).decode(); err == nil {
-		t.Errorf("bogus total decoded")
-	}
-	if _, err := (&Outcome{Total: "0x1p0", Quarantined: []string{"zz"}}).decode(); err == nil {
-		t.Errorf("bogus quarantine key decoded")
 	}
 }
 

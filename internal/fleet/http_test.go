@@ -31,6 +31,8 @@ func FuzzFleetHandler(f *testing.F) {
 	f.Add(uint8(1), []byte(`{"worker":"w0","task":"job-fuzz/cfr/1#1","epoch":1}`))
 	f.Add(uint8(2), []byte(`{"worker":"w0","reports":[{"task":"job-fuzz/cfr/1#1","epoch":1,"outcome":{"total":"0x1p+00","cost":{"runs":1}}}]}`))
 	f.Add(uint8(2), []byte(`{"worker":"w0","reports":[{"task":"job-fuzz/cfr/1#1","epoch":2,"error":"boom"},{"task":"nope","epoch":1}]}`))
+	f.Add(uint8(2), []byte(`{"worker":"w0","reports":[{"task":"job-fuzz/cfr/1#1","epoch":1,"outcome":{"total":"0x1p+00","cost":{"runs":1},"span":["compile 0  12 0  ","link 1  0 0  ","run 2 ok 0 0 0x1p+00 0x1p+00","eval 3 ok 0 0 0x1p+00 0x1p+00"]}}]}`))
+	f.Add(uint8(2), []byte(`{"worker":"w0","reports":[{"task":"job-fuzz/cfr/1#1","epoch":1,"outcome":{"total":"0x1p+00","cost":{"runs":1},"span":["compile 0 12 0","run -1 ok 0 0 0x1p+00 NaN x"]}}]}`))
 	f.Add(uint8(0), []byte(`{"worker":"","max":-1}`))
 	f.Add(uint8(1), []byte(`{"worker":"w0","task":"job-fuzz/cfr/1#1","epoch":1,"extra":true}`))
 	f.Add(uint8(2), []byte(`not json`))

@@ -31,10 +31,11 @@ import (
 // a live epoch.
 
 // journalVersion is the record format version; version 2 carries CV
-// rows as hex strings (Task.CVs). A journal whose first record is an
+// rows as hex strings (Task.CVs), version 3 also carries each outcome's
+// trace span as rows (Outcome.Span). A journal whose first record is an
 // intact envelope of another version is refused at open, never
 // replayed or truncated.
-const journalVersion = 2
+const journalVersion = 3
 
 // Journal op codes. "enqueue" and "task" both introduce a task ("task"
 // is the compacted form carrying accumulated epoch/backoff state);

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -267,38 +268,48 @@ func TestOpenJournalTruncatesTornTail(t *testing.T) {
 }
 
 // TestOpenJournalRefusesForeignVersion: a journal written under an
-// older record version (CV rows as int arrays) must be refused at open
-// and left byte-for-byte untouched — replaying it would stop at the
-// first record and the torn-tail truncation would wipe every queued
-// task, lease and accepted outcome.
+// older record version (v1: CV rows as int arrays; v2: outcome spans as
+// trace.Event objects) must be refused at open and left byte-for-byte
+// untouched — replaying it would stop at the first record and the
+// torn-tail truncation would wipe every queued task.
 func TestOpenJournalRefusesForeignVersion(t *testing.T) {
-	v1Line := func(body string) string {
-		return fmt.Sprintf(`{"v":1,"sum":%q,"body":%s}`, journalChecksum([]byte(body)), body) + "\n"
+	line := func(v int, body string) string {
+		return fmt.Sprintf(`{"v":%d,"sum":%q,"body":%s}`, v, journalChecksum([]byte(body)), body) + "\n"
 	}
 	spec, err := json.Marshal(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := v1Line(`{"seq":1,"op":"enqueue","task":"job-1/cfr/0#1","job":"job-1","spec":`+string(spec)+`,"phase":"cfr","cvs":[[1,2]]}`) +
-		v1Line(`{"seq":2,"op":"claim","task":"job-1/cfr/0#1","epoch":1,"worker":"w1","deadline":1}`) +
-		`{"v":1,"sum":"12` // a torn tail must not turn refusal into truncation
-	path := filepath.Join(t.TempDir(), "journal")
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = NewCoordinator(CoordinatorConfig{JournalPath: path})
-	if err == nil {
-		t.Fatal("coordinator opened a version-1 journal")
-	}
-	if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "version 2") {
-		t.Errorf("error %q does not name both versions", msg)
-	}
-	onDisk, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(onDisk) != v1 {
-		t.Errorf("foreign journal modified: %d bytes on disk, want %d", len(onDisk), len(v1))
+	enqueue := `{"seq":1,"op":"enqueue","task":"job-1/cfr/0#1","job":"job-1","spec":` + string(spec) + `,"phase":"cfr",`
+	claim := `{"seq":2,"op":"claim","task":"job-1/cfr/0#1","epoch":1,"worker":"w1","deadline":1}`
+	for v, journal := range map[int]string{
+		1: line(1, enqueue+`"cvs":[[1,2]]}`) + line(1, claim) +
+			`{"v":1,"sum":"12`, // a torn tail must not turn refusal into truncation
+		2: line(2, enqueue+`"cvs":["0102"]}`) + line(2, claim) +
+			line(2, `{"seq":3,"op":"report","task":"job-1/cfr/0#1","epoch":1,"worker":"w1","outcome":{"total":"0x1p+00","cost":{"runs":1},`+
+				`"events":[{"kind":"compile","phase":"cfr","sample":0,"modules":12},{"kind":"eval","phase":"cfr","sample":0,"step":1,"name":"ok","seconds":"0x1p+00"}]}}`) +
+			`{"v":2,"sum":"12`,
+	} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal")
+			if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := NewCoordinator(CoordinatorConfig{JournalPath: path})
+			if err == nil {
+				t.Fatalf("coordinator opened a version-%d journal", v)
+			}
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", v)) || !strings.Contains(msg, "version 3") {
+				t.Errorf("error %q does not name both versions", msg)
+			}
+			onDisk, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(onDisk) != journal {
+				t.Errorf("foreign journal modified: %d bytes on disk, want %d", len(onDisk), len(journal))
+			}
+		})
 	}
 }
 
@@ -401,7 +412,11 @@ func TestCoordinatorKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("served evaluate: %v", err)
 	}
-	if want, _ := fabricatedOutcome(1.5).decode(); out.Total != want.Total || out.Cost != want.Cost {
+	want, err := fabricatedOutcome(1.5).decode("cfr", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Total != want.Total || out.Cost != want.Cost || !reflect.DeepEqual(out.Events, want.Events) {
 		t.Errorf("served outcome differs from the pre-crash report: %+v vs %+v", out, want)
 	}
 	if js := coord2.JournalState(); js.Served != 1 {
@@ -521,8 +536,12 @@ func TestRecoveryKeepsLiveLease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("buffered evaluate: %v", err)
 	}
-	if want, _ := fabricatedOutcome(4).decode(); out.Total != want.Total {
-		t.Errorf("buffered outcome = %v, want %v", out.Total, want.Total)
+	want, err := fabricatedOutcome(4).decode("cfr", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Total != want.Total || !reflect.DeepEqual(out.Events, want.Events) {
+		t.Errorf("buffered outcome = %v %+v, want %v %+v", out.Total, out.Events, want.Total, want.Events)
 	}
 }
 

@@ -31,7 +31,9 @@ package fleet
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 
 	"funcytuner/internal/core"
@@ -124,16 +126,24 @@ type Outcome struct {
 	Cost core.CostSnapshot `json:"cost"`
 	// Quarantined lists poisoned CV fingerprints as hex strings.
 	Quarantined []string `json:"quarantined,omitempty"`
-	// Events is the evaluation's trace span (trace.Event's JSON encoding
-	// is itself byte-stable).
-	Events []trace.Event `json:"events,omitempty"`
+	// Span is the evaluation's trace span as trace.EncodeSpan rows, one
+	// per event. The rows carry no phase or sample: both are the task's,
+	// which the coordinator already knows.
+	Span []string `json:"span,omitempty"`
 }
 
 // formatFloat renders a float as the lossless hex-float wire string.
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
 
-// parseFloat is the inverse of formatFloat.
-func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+// parseTime is the inverse of formatFloat for a measured time. It
+// refuses NaN; +Inf, a lost evaluation, stays legal.
+func parseTime(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && math.IsNaN(v) {
+		return 0, errors.New("NaN time")
+	}
+	return v, err
+}
 
 // encodeCVs renders CVs as wire rows: each CV's value indices, one
 // byte per flag, hex-encoded.
@@ -175,12 +185,18 @@ func decodeCVs(space *flagspec.Space, rows []string) ([]flagspec.CV, error) {
 	return out, nil
 }
 
-// encodeOutcome converts a completed evaluation to its wire form.
-func encodeOutcome(out core.EvalOutcome) *Outcome {
+// encodeOutcome converts a completed evaluation of the claim (phase,
+// sample) to its wire form. It fails only if the trace span is not the
+// detached span of that claim.
+func encodeOutcome(phase string, sample int, out core.EvalOutcome) (*Outcome, error) {
+	span, err := trace.EncodeSpan(phase, sample, out.Events)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: encoding span of %s/%d: %w", phase, sample, err)
+	}
 	w := &Outcome{
-		Total:  formatFloat(out.Total),
-		Cost:   out.Cost,
-		Events: out.Events,
+		Total: formatFloat(out.Total),
+		Cost:  out.Cost,
+		Span:  span,
 	}
 	for _, v := range out.PerModule {
 		w.PerModule = append(w.PerModule, formatFloat(v))
@@ -188,19 +204,21 @@ func encodeOutcome(out core.EvalOutcome) *Outcome {
 	for _, k := range out.Quarantined {
 		w.Quarantined = append(w.Quarantined, strconv.FormatUint(k, 16))
 	}
-	return w
+	return w, nil
 }
 
-// decodeOutcome is the inverse of encodeOutcome, validating every field.
-func (o *Outcome) decode() (core.EvalOutcome, error) {
+// decode is the inverse of encodeOutcome for the claim (phase, sample),
+// validating every field the way a checkpoint is validated: no NaN
+// time, no negative cost counter.
+func (o *Outcome) decode(phase string, sample int) (core.EvalOutcome, error) {
 	var out core.EvalOutcome
-	total, err := parseFloat(o.Total)
+	total, err := parseTime(o.Total)
 	if err != nil {
 		return out, fmt.Errorf("fleet: bad total %q: %v", o.Total, err)
 	}
 	out.Total = total
 	for i, s := range o.PerModule {
-		v, err := parseFloat(s)
+		v, err := parseTime(s)
 		if err != nil {
 			return out, fmt.Errorf("fleet: bad per-module time %d %q: %v", i, s, err)
 		}
@@ -213,8 +231,13 @@ func (o *Outcome) decode() (core.EvalOutcome, error) {
 		}
 		out.Quarantined = append(out.Quarantined, k)
 	}
+	if err := o.Cost.Validate(); err != nil {
+		return out, fmt.Errorf("fleet: bad cost: %w", err)
+	}
 	out.Cost = o.Cost
-	out.Events = o.Events
+	if out.Events, err = trace.DecodeSpan(phase, sample, o.Span); err != nil {
+		return out, fmt.Errorf("fleet: bad span: %w", err)
+	}
 	return out, nil
 }
 

@@ -422,7 +422,9 @@ func (w *Worker) executeBatch(ctx context.Context, ts []*Task) {
 			errStrs[i] = evalErr.Error()
 			continue
 		}
-		outs[i] = encodeOutcome(out)
+		if outs[i], err = encodeOutcome(t.Phase, t.Sample, out); err != nil {
+			errStrs[i] = err.Error()
+		}
 	}
 	close(hbStop)
 	hbWG.Wait()

@@ -87,6 +87,12 @@ type JobSpec struct {
 	Resume string `json:"resume,omitempty"`
 }
 
+// maxJobSamples bounds JobSpec.Samples at 100× the paper's K=1000
+// budget. A job's checkpoint, trace and retained report all grow with
+// K, so a larger budget is refused at submit time rather than left to
+// exhaust the daemon's memory.
+const maxJobSamples = 100 * 1000
+
 // validate rejects specs the tuner would reject hours later, plus
 // negative values that facade defaults would otherwise mask.
 func (sp *JobSpec) validate() error {
@@ -105,8 +111,14 @@ func (sp *JobSpec) validate() error {
 	if sp.Samples < 0 {
 		return fmt.Errorf("server: samples must be >= 0, got %d", sp.Samples)
 	}
+	if sp.Samples > maxJobSamples {
+		return fmt.Errorf("server: samples must be <= %d, got %d", maxJobSamples, sp.Samples)
+	}
 	if sp.TopX < 0 {
 		return fmt.Errorf("server: topx must be >= 0, got %d", sp.TopX)
+	}
+	if sp.Samples > 0 && sp.TopX > sp.Samples {
+		return fmt.Errorf("server: topx %d exceeds samples %d", sp.TopX, sp.Samples)
 	}
 	if sp.Workers < 0 {
 		return fmt.Errorf("server: workers must be >= 0, got %d", sp.Workers)

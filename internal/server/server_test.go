@@ -232,6 +232,43 @@ func TestSubmitRejectsOversizedBody(t *testing.T) {
 	}
 }
 
+// TestSubmitBoundsBudget: a sample budget past maxJobSamples, or a
+// pruning width wider than the budget it prunes, answers 400 at submit
+// time with an error naming the field, and creates no job. The bounds
+// themselves stay legal.
+func TestSubmitBoundsBudget(t *testing.T) {
+	mgr := newTestManager(t, Config{})
+	ts := httptest.NewServer(NewServer(mgr))
+	defer ts.Close()
+
+	for name, tc := range map[string]struct {
+		spec JobSpec
+		want string
+	}{
+		"samples above bound": {JobSpec{Samples: maxJobSamples + 1}, "samples must be <= 100000, got 100001"},
+		"topx above samples":  {JobSpec{Samples: 40, TopX: 41}, "topx 41 exceeds samples 40"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			resp := postJSON(t, ts.URL+"/jobs", tc.spec)
+			if resp.StatusCode != http.StatusBadRequest {
+				resp.Body.Close()
+				t.Fatalf("got %d, want 400", resp.StatusCode)
+			}
+			if msg := decode[map[string]string](t, resp)["error"]; !strings.Contains(msg, tc.want) {
+				t.Errorf("error %q does not say %q", msg, tc.want)
+			}
+		})
+	}
+	if jobs := mgr.List(); len(jobs) != 0 {
+		t.Errorf("refused specs created %d jobs", len(jobs))
+	}
+	for _, spec := range []JobSpec{{Samples: maxJobSamples}, {Samples: 40, TopX: 40}, {TopX: 40}} {
+		if err := spec.validate(); err != nil {
+			t.Errorf("spec %+v refused: %v", spec, err)
+		}
+	}
+}
+
 // stallGate passes through n acquisitions, then blocks the n+1th until
 // its context is cancelled; every later acquisition passes freely. With
 // Workers=1 this cancels a job at a deterministic evaluation boundary.
