@@ -44,8 +44,19 @@ import (
 
 // readHeaderTimeout bounds how long a client may take to send its
 // request headers, so a connection that never finishes them cannot pin
-// a server goroutine. Bodies and long-poll responses are unaffected.
+// a server goroutine.
 const readHeaderTimeout = 10 * time.Second
+
+// readTimeout bounds a whole request, body included: a minute leaves
+// room for an 8 MiB fleet report batch at 140 KB/s. net/http clears the
+// read deadline once the body is read, so the 30 s claim long-poll that
+// follows is not cut off. There is no write deadline.
+const readTimeout = time.Minute
+
+// newHTTPServer is the daemon's front door: h on addr, both reads bounded.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
+}
 
 func main() {
 	cfg, err := parseFlags(os.Args[1:], os.Stderr)
@@ -327,7 +338,7 @@ func runServer(ctx context.Context, stop context.CancelFunc, cfg config) error {
 				cfg.fleetJournal, n, len(reattached))
 		}
 	}
-	srv := &http.Server{Addr: cfg.addr, Handler: server.NewServer(mgr), ReadHeaderTimeout: readHeaderTimeout}
+	srv := newHTTPServer(cfg.addr, server.NewServer(mgr))
 
 	errc := make(chan error, 1)
 	go func() {

@@ -1,11 +1,66 @@
 package main
 
 import (
+	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"funcytuner/internal/fleet"
 )
+
+// TestReadTimeoutSparesLongPoll runs the daemon's own server over a
+// fleet coordinator, with the read bound shortened from readTimeout so
+// the test is fast. A claim long-poll that outlasts the bound still
+// answers, because net/http clears the read deadline once the body is
+// read; a client that stalls mid-body is cut off at the bound.
+func TestReadTimeoutSparesLongPoll(t *testing.T) {
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	srv := newHTTPServer("", coord.Handler())
+	if srv.ReadTimeout != readTimeout || srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("server read bounds = %v/%v, want %v/%v", srv.ReadHeaderTimeout, srv.ReadTimeout, readHeaderTimeout, readTimeout)
+	}
+	const bound = 200 * time.Millisecond
+	srv.ReadTimeout = bound
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	addr := ln.Addr().String()
+
+	start := time.Now()
+	resp, err := http.Post("http://"+addr+"/fleet/claimbatch", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"worker":"w1","wait_millis":%d,"max":1}`, (3*bound).Milliseconds())))
+	if err != nil {
+		t.Fatalf("long poll past the read bound: %v", err)
+	}
+	resp.Body.Close()
+	if took := time.Since(start); resp.StatusCode != http.StatusNoContent || took < 3*bound {
+		t.Fatalf("long poll answered %d after %v, want 204 after at least %v", resp.StatusCode, took, 3*bound)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start = time.Now()
+	fmt.Fprint(conn, "POST /fleet/claimbatch HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{\"worker\"")
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	reply, _ := io.ReadAll(conn)
+	if took := time.Since(start); !strings.HasPrefix(string(reply), "HTTP/1.1 400") || took < bound {
+		t.Fatalf("stalled body answered %q after %v, want a 400 after the %v bound", reply, took, bound)
+	}
+}
 
 func TestParseFlags(t *testing.T) {
 	cases := []struct {

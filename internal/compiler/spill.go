@@ -2,11 +2,10 @@ package compiler
 
 import (
 	"encoding/json"
-	"math"
 	"path/filepath"
-	"strconv"
 
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/fsx"
 	"funcytuner/internal/ir"
 )
 
@@ -53,16 +52,6 @@ type spillObject struct {
 	CrashProne bool           `json:"crash_prone"`
 }
 
-func hexF(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
-
-func parseHexF(s string) (float64, bool) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(v) {
-		return 0, false
-	}
-	return v, true
-}
-
 // objectCodec is the objcache.SpillCodec for the object tier.
 type objectCodec struct{}
 
@@ -77,7 +66,7 @@ func (objectCodec) Encode(key uint64, val any) ([]byte, bool) {
 		IsBase:     obj.Module.IsBase,
 		Knobs:      *obj.Knobs,
 		Loops:      make([]spillLoop, len(obj.Loops)),
-		TimeFactor: hexF(obj.NonLoop.TimeFactor),
+		TimeFactor: fsx.HexFloat(obj.NonLoop.TimeFactor),
 		CrashProne: obj.CrashProne,
 	}
 	for i, lc := range obj.Loops {
@@ -90,9 +79,9 @@ func (objectCodec) Encode(key uint64, val any) ([]byte, bool) {
 			Tile:           lc.Tile,
 			InlinedCalls:   lc.InlinedCalls,
 			MultiVersioned: lc.MultiVersioned,
-			EffBody:        hexF(lc.EffBody),
-			SpillRate:      hexF(lc.SpillRate),
-			ISQ:            hexF(lc.ISQ),
+			EffBody:        fsx.HexFloat(lc.EffBody),
+			SpillRate:      fsx.HexFloat(lc.SpillRate),
+			ISQ:            fsx.HexFloat(lc.ISQ),
 			GoodIS:         lc.GoodIS,
 			GoodIO:         lc.GoodIO,
 			Knobs:          lc.Knobs,
@@ -123,16 +112,16 @@ func (objectCodec) Decode(key uint64, data []byte) (any, bool) {
 	if len(w.Loops) > 0 {
 		obj.Loops = make([]LoopCode, len(w.Loops))
 	}
-	tf, ok := parseHexF(w.TimeFactor)
-	if !ok {
+	tf, err := fsx.ParseHexFloat(w.TimeFactor)
+	if err != nil {
 		return nil, false
 	}
 	obj.NonLoop.TimeFactor = tf
 	for i, sl := range w.Loops {
-		eff, ok1 := parseHexF(sl.EffBody)
-		spr, ok2 := parseHexF(sl.SpillRate)
-		isq, ok3 := parseHexF(sl.ISQ)
-		if !ok1 || !ok2 || !ok3 {
+		eff, err1 := fsx.ParseHexFloat(sl.EffBody)
+		spr, err2 := fsx.ParseHexFloat(sl.SpillRate)
+		isq, err3 := fsx.ParseHexFloat(sl.ISQ)
+		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, false
 		}
 		obj.Loops[i] = LoopCode{

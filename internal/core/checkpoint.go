@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -70,19 +69,6 @@ type Checkpoint struct {
 	Cost CostSnapshot `json:"cost"`
 }
 
-func formatTime(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
-
-func parseTime(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("core: bad checkpoint time %q: %w", s, err)
-	}
-	if math.IsNaN(v) {
-		return 0, fmt.Errorf("core: NaN checkpoint time")
-	}
-	return v, nil
-}
-
 // Validate checks the checkpoint's internal consistency (shape, index
 // ranges, parsable times, non-negative cost). Compatibility with a
 // specific session is checked separately at attach time.
@@ -117,8 +103,8 @@ func (ck *Checkpoint) Validate() error {
 				return fmt.Errorf("core: checkpoint %s index %d duplicated", name, k)
 			}
 			seen[k] = true
-			if _, err := parseTime(filled[k]); err != nil {
-				return err
+			if _, err := fsx.ParseHexFloat(filled[k]); err != nil {
+				return fmt.Errorf("core: bad checkpoint %s time %d: %w", name, k, err)
 			}
 		}
 		return nil
@@ -128,8 +114,8 @@ func (ck *Checkpoint) Validate() error {
 	}
 	for _, k := range ck.CollectDone {
 		for mi := range ck.Times {
-			if _, err := parseTime(ck.Times[mi][k]); err != nil {
-				return err
+			if _, err := fsx.ParseHexFloat(ck.Times[mi][k]); err != nil {
+				return fmt.Errorf("core: bad checkpoint module %d time %d: %w", mi, k, err)
 			}
 		}
 	}
@@ -279,9 +265,9 @@ func (c *Checkpointer) restoreCollect(col *Collection, done []bool) {
 	defer c.mu.Unlock()
 	for _, k := range c.ck.CollectDone {
 		done[k] = true
-		col.Totals[k], _ = parseTime(c.ck.Totals[k])
+		col.Totals[k], _ = fsx.ParseHexFloat(c.ck.Totals[k])
 		for mi := range col.Times {
-			col.Times[mi][k], _ = parseTime(c.ck.Times[mi][k])
+			col.Times[mi][k], _ = fsx.ParseHexFloat(c.ck.Times[mi][k])
 		}
 	}
 }
@@ -292,7 +278,7 @@ func (c *Checkpointer) restoreCFR(times []float64, done []bool) {
 	defer c.mu.Unlock()
 	for _, k := range c.ck.CFRDone {
 		done[k] = true
-		times[k], _ = parseTime(c.ck.CFRTimes[k])
+		times[k], _ = fsx.ParseHexFloat(c.ck.CFRTimes[k])
 	}
 }
 
@@ -302,9 +288,9 @@ func (c *Checkpointer) markCollect(s *Session, k int, per []float64, total float
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ck.CollectDone = append(c.ck.CollectDone, k)
-	c.ck.Totals[k] = formatTime(total)
+	c.ck.Totals[k] = fsx.HexFloat(total)
 	for mi := range per {
-		c.ck.Times[mi][k] = formatTime(per[mi])
+		c.ck.Times[mi][k] = fsx.HexFloat(per[mi])
 	}
 	c.markedLocked(s, ec)
 }
@@ -314,7 +300,7 @@ func (c *Checkpointer) markCFR(s *Session, k int, t float64, ec evalCost) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ck.CFRDone = append(c.ck.CFRDone, k)
-	c.ck.CFRTimes[k] = formatTime(t)
+	c.ck.CFRTimes[k] = fsx.HexFloat(t)
 	c.markedLocked(s, ec)
 }
 

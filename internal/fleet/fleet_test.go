@@ -16,6 +16,7 @@ import (
 	"funcytuner/internal/core"
 	"funcytuner/internal/faults"
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/fsx"
 	"funcytuner/internal/metrics"
 )
 
@@ -386,7 +387,7 @@ func claimOne(ctx context.Context, coord *Coordinator, worker string, maxWait ti
 // fabricatedOutcome is a valid wire outcome for protocol tests: a clean
 // evaluation measuring total, with its compile/link/run/eval span rows.
 func fabricatedOutcome(total float64) *Outcome {
-	secs := formatFloat(total)
+	secs := fsx.HexFloat(total)
 	return &Outcome{
 		Total: secs,
 		Cost:  core.CostSnapshot{Runs: 1, SimMicros: int64(total * 1e6)},

@@ -21,9 +21,9 @@ import (
 // encoding as the protocol itself (Outcome), so a recovered report is
 // byte-identical to the one the worker measured.
 //
-// Integrity follows the results-repository discipline: each record
-// carries a version and a checksum over its body, and replay stops at
-// the first record that fails any check — a torn or bit-flipped tail
+// Each line is an fsx sealed record without a key: a version and a
+// checksum over the body. Replay stops at the first record that fails
+// any check — a torn or bit-flipped tail
 // degrades to "the crash happened a little earlier", never to an error
 // or a half-applied transition. Record sequence numbers are strictly
 // increasing; a duplicate or reordered record (a fuzzer's favourite)
@@ -51,14 +51,6 @@ const (
 	opAbandon = "abandon"
 	opOutcome = "outcome"
 )
-
-// journalRecord is the on-disk envelope: one JSON object per line, the
-// checksum covering the exact body bytes.
-type journalRecord struct {
-	V    int             `json:"v"`
-	Sum  string          `json:"sum"`
-	Body json.RawMessage `json:"body"`
-}
 
 // journalBody is the union of all record payloads; each op uses the
 // fields it needs and omits the rest. Times are absolute unix
@@ -89,12 +81,6 @@ type journalBody struct {
 	Quarantined bool   `json:"quarantined,omitempty"`
 }
 
-// journalChecksum guards one record body, same construction as the
-// results repository's entry checksum.
-func journalChecksum(body []byte) string {
-	return fmt.Sprintf("%016x", xrand.HashString(string(body)))
-}
-
 // encodeJournalRecord renders one body as its newline-terminated
 // on-disk line.
 func encodeJournalRecord(b journalBody) ([]byte, error) {
@@ -102,7 +88,7 @@ func encodeJournalRecord(b journalBody) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encoding journal body: %w", err)
 	}
-	line, err := json.Marshal(journalRecord{V: journalVersion, Sum: journalChecksum(body), Body: body})
+	line, err := fsx.Seal(journalVersion, "", body)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encoding journal record: %w", err)
 	}
@@ -222,15 +208,12 @@ func replayJournal(data []byte) (*replayState, int) {
 
 // apply decodes and applies one record line; false stops replay.
 func (st *replayState) apply(line []byte) bool {
-	var rec journalRecord
-	if err := json.Unmarshal(line, &rec); err != nil || rec.V != journalVersion {
-		return false
-	}
-	if journalChecksum(rec.Body) != rec.Sum {
+	v, body, err := fsx.Unseal(line, "")
+	if err != nil || v != journalVersion {
 		return false
 	}
 	var b journalBody
-	if err := json.Unmarshal(rec.Body, &b); err != nil {
+	if err := json.Unmarshal(body, &b); err != nil {
 		return false
 	}
 	// Sequence numbers are strictly increasing in a well-formed journal;
@@ -378,18 +361,14 @@ func openJournal(path string) (*journal, *replayState, error) {
 }
 
 // firstRecordVersion is the version of the journal's first record, if
-// that record is an intact envelope (complete line, valid JSON,
-// matching checksum).
+// that record is an intact sealed record on a complete line.
 func firstRecordVersion(data []byte) (int, bool) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return 0, false
 	}
-	var rec journalRecord
-	if json.Unmarshal(data[:nl], &rec) != nil || journalChecksum(rec.Body) != rec.Sum {
-		return 0, false
-	}
-	return rec.V, true
+	v, _, err := fsx.Unseal(data[:nl], "")
+	return v, err == nil
 }
 
 // append writes the bodies as consecutive records and syncs once — a

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"funcytuner/internal/core"
+	"funcytuner/internal/fsx"
+	"funcytuner/internal/xrand"
 )
 
 // journalLine renders one record with an explicit sequence number, the
@@ -69,7 +71,7 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 	}
 	key := adoptionKey(testSpec(), "cfr", 0, []string{"0102"})
 	ro, ok := st.completed[key]
-	if !ok || ro.out == nil || ro.out.Total != formatFloat(1.25) {
+	if !ok || ro.out == nil || ro.out.Total != fsx.HexFloat(1.25) {
 		t.Errorf("completed outcome for task A missing or wrong: %+v", ro)
 	}
 	if w := st.workers["w2"]; w == nil || w.losses != 1 || w.quarantined {
@@ -125,25 +127,25 @@ func TestJournalReplayStopsAtDamage(t *testing.T) {
 // or an unknown version stops replay even though the JSON is valid.
 func TestJournalReplayChecksumAndVersion(t *testing.T) {
 	good := journalLine(t, journalBody{Seq: 1, Op: opWorker, Worker: "w1", Losses: 2})
-	var rec journalRecord
-	if err := json.Unmarshal(bytes.TrimSuffix(good, []byte("\n")), &rec); err != nil {
+	_, body, err := fsx.Unseal(bytes.TrimSuffix(good, []byte("\n")), "")
+	if err != nil {
 		t.Fatalf("decode own record: %v", err)
 	}
-	forge := func(mutate func(*journalRecord)) []byte {
-		r := rec
-		mutate(&r)
-		out, err := json.Marshal(r)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		return append(out, '\n')
+	sum := fmt.Sprintf(`"sum":"%016x"`, xrand.HashString(string(body)))
+	badSum := bytes.Replace(good, []byte(sum), []byte(`"sum":"0000000000000000"`), 1)
+	if bytes.Equal(badSum, good) {
+		t.Fatalf("record %q does not carry %s", good, sum)
+	}
+	badVersion, err := fsx.Seal(99, "", body)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
-		{"bad checksum", forge(func(r *journalRecord) { r.Sum = "0000000000000000" })},
-		{"bad version", forge(func(r *journalRecord) { r.V = 99 })},
+		{"bad checksum", badSum},
+		{"bad version", append(badVersion, '\n')},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, good := replayJournal(tc.data)
@@ -274,7 +276,7 @@ func TestOpenJournalTruncatesTornTail(t *testing.T) {
 // torn-tail truncation would wipe every queued task.
 func TestOpenJournalRefusesForeignVersion(t *testing.T) {
 	line := func(v int, body string) string {
-		return fmt.Sprintf(`{"v":%d,"sum":%q,"body":%s}`, v, journalChecksum([]byte(body)), body) + "\n"
+		return fmt.Sprintf(`{"v":%d,"sum":%q,"body":%s}`, v, fmt.Sprintf("%016x", xrand.HashString(body)), body) + "\n"
 	}
 	spec, err := json.Marshal(testSpec())
 	if err != nil {

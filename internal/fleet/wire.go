@@ -31,13 +31,12 @@ package fleet
 
 import (
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"math"
 	"strconv"
 
 	"funcytuner/internal/core"
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/fsx"
 	"funcytuner/internal/trace"
 )
 
@@ -132,19 +131,6 @@ type Outcome struct {
 	Span []string `json:"span,omitempty"`
 }
 
-// formatFloat renders a float as the lossless hex-float wire string.
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
-
-// parseTime is the inverse of formatFloat for a measured time. It
-// refuses NaN; +Inf, a lost evaluation, stays legal.
-func parseTime(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err == nil && math.IsNaN(v) {
-		return 0, errors.New("NaN time")
-	}
-	return v, err
-}
-
 // encodeCVs renders CVs as wire rows: each CV's value indices, one
 // byte per flag, hex-encoded.
 func encodeCVs(cvs []flagspec.CV) []string {
@@ -194,12 +180,12 @@ func encodeOutcome(phase string, sample int, out core.EvalOutcome) (*Outcome, er
 		return nil, fmt.Errorf("fleet: encoding span of %s/%d: %w", phase, sample, err)
 	}
 	w := &Outcome{
-		Total: formatFloat(out.Total),
+		Total: fsx.HexFloat(out.Total),
 		Cost:  out.Cost,
 		Span:  span,
 	}
 	for _, v := range out.PerModule {
-		w.PerModule = append(w.PerModule, formatFloat(v))
+		w.PerModule = append(w.PerModule, fsx.HexFloat(v))
 	}
 	for _, k := range out.Quarantined {
 		w.Quarantined = append(w.Quarantined, strconv.FormatUint(k, 16))
@@ -212,13 +198,13 @@ func encodeOutcome(phase string, sample int, out core.EvalOutcome) (*Outcome, er
 // time, no negative cost counter.
 func (o *Outcome) decode(phase string, sample int) (core.EvalOutcome, error) {
 	var out core.EvalOutcome
-	total, err := parseTime(o.Total)
+	total, err := fsx.ParseHexFloat(o.Total)
 	if err != nil {
 		return out, fmt.Errorf("fleet: bad total %q: %v", o.Total, err)
 	}
 	out.Total = total
 	for i, s := range o.PerModule {
-		v, err := parseTime(s)
+		v, err := fsx.ParseHexFloat(s)
 		if err != nil {
 			return out, fmt.Errorf("fleet: bad per-module time %d %q: %v", i, s, err)
 		}

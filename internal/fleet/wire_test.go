@@ -10,6 +10,7 @@ import (
 
 	"funcytuner/internal/core"
 	"funcytuner/internal/flagspec"
+	"funcytuner/internal/fsx"
 	"funcytuner/internal/trace"
 	"funcytuner/internal/xrand"
 )
@@ -164,7 +165,7 @@ func TestWireOutcomeRoundTrip(t *testing.T) {
 		}
 	}
 
-	nan := formatFloat(math.NaN())
+	nan := fsx.HexFloat(math.NaN())
 	for name, tc := range map[string]struct {
 		o    Outcome
 		want string

@@ -1,5 +1,7 @@
-// Package fsx holds the small filesystem idioms the rest of the tree
-// shares: atomic file commits with a choice of durability level.
+// Package fsx holds the small on-disk idioms the rest of the tree
+// shares: atomic file commits with a choice of durability level, the
+// sealed record every durable store writes (Seal, Unseal) and the
+// lossless hex-float encoding (HexFloat, ParseHexFloat).
 //
 // WriteFileAtomic is the fsync-hardened path checkpoints and the results
 // repository use — a crash at any point leaves either the old bytes or

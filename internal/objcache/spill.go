@@ -1,17 +1,14 @@
 package objcache
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"funcytuner/internal/fsx"
-	"funcytuner/internal/xrand"
 )
 
 // The spill tier persists evicted and resident entries to disk so a
@@ -47,18 +44,15 @@ type SpillCodec interface {
 	Decode(key uint64, data []byte) (val any, ok bool)
 }
 
-// spillVersion is the on-disk spill entry format version.
-const spillVersion = 1
+// spillVersion is the on-disk spill entry format version; version 2 is
+// an fsx sealed record whose body is a spillBody.
+const spillVersion = 2
 
-// spillEntry is the on-disk envelope: the codec's bytes are stored
-// verbatim (compacted) and checksummed, so any damage is detected
-// before the codec ever sees the payload.
-type spillEntry struct {
-	Version  int             `json:"version"`
-	Key      string          `json:"key"`
-	Work     int64           `json:"work"`
-	Checksum string          `json:"checksum"`
-	Body     json.RawMessage `json:"body"`
+// spillBody is a spill file's sealed payload: the codec's bytes and the
+// work they save. The seal is checked before the codec sees anything.
+type spillBody struct {
+	Work int64           `json:"work"`
+	Val  json.RawMessage `json:"val"`
 }
 
 type spillState struct {
@@ -97,8 +91,10 @@ func (c *Cache) AttachSpill(dir string, codec SpillCodec) error {
 }
 
 func (sp *spillState) path(key uint64) string {
-	return filepath.Join(sp.dir, fmt.Sprintf("%02x", byte(key>>56)), fmt.Sprintf("%016x.json", key))
+	return filepath.Join(sp.dir, fmt.Sprintf("%02x", byte(key>>56)), spillKey(key)+".json")
 }
+
+func spillKey(key uint64) string { return fmt.Sprintf("%016x", key) }
 
 // load probes the spill tier for key. A missing file is a silent miss;
 // an unreadable or damaged file is a counted corrupt miss and is
@@ -110,38 +106,21 @@ func (c *Cache) spillLoad(key uint64) (val any, work int64, ok bool) {
 	}
 	path := sp.path(key)
 	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			sp.corrupt.Add(1)
-			os.Remove(path)
+	if os.IsNotExist(err) {
+		return nil, 0, false
+	}
+	// A read error leaves data nil, which Unseal refuses like damage.
+	var b spillBody
+	if v, body, err := fsx.Unseal(data, spillKey(key)); err == nil && v == spillVersion &&
+		json.Unmarshal(body, &b) == nil && b.Work >= 0 && len(b.Val) > 0 {
+		if val, ok := sp.codec.Decode(key, b.Val); ok {
+			sp.hits.Add(1)
+			return val, b.Work, true
 		}
-		return nil, 0, false
 	}
-	var e spillEntry
-	if err := json.Unmarshal(data, &e); err != nil ||
-		e.Version != spillVersion || len(e.Body) == 0 || e.Work < 0 {
-		sp.corrupt.Add(1)
-		os.Remove(path)
-		return nil, 0, false
-	}
-	if k, err := strconv.ParseUint(e.Key, 16, 64); err != nil || k != key {
-		sp.corrupt.Add(1)
-		os.Remove(path)
-		return nil, 0, false
-	}
-	if e.Checksum != spillChecksum(e.Body) {
-		sp.corrupt.Add(1)
-		os.Remove(path)
-		return nil, 0, false
-	}
-	v, ok := sp.codec.Decode(key, e.Body)
-	if !ok {
-		sp.corrupt.Add(1)
-		os.Remove(path)
-		return nil, 0, false
-	}
-	sp.hits.Add(1)
-	return v, e.Work, true
+	sp.corrupt.Add(1)
+	os.Remove(path)
+	return nil, 0, false
 }
 
 // spillWrite commits one entry, best-effort: encode failures mean the
@@ -153,19 +132,12 @@ func (c *Cache) spillWrite(it spillItem) {
 	if !ok {
 		return
 	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, data); err != nil {
+	body, err := json.Marshal(spillBody{Work: it.work, Val: data})
+	if err != nil {
 		sp.errs.Add(1)
 		return
 	}
-	e := spillEntry{
-		Version:  spillVersion,
-		Key:      fmt.Sprintf("%016x", it.key),
-		Work:     it.work,
-		Checksum: spillChecksum(compact.Bytes()),
-		Body:     json.RawMessage(compact.Bytes()),
-	}
-	out, err := json.Marshal(&e)
+	out, err := fsx.Seal(spillVersion, spillKey(it.key), body)
 	if err != nil {
 		sp.errs.Add(1)
 		return
@@ -211,10 +183,4 @@ func (c *Cache) SpillAll() {
 			c.spillWrite(it)
 		}
 	}
-}
-
-// spillChecksum covers the exact body bytes; spill commits are off the
-// hot path, so the string conversion's copy is irrelevant.
-func spillChecksum(body []byte) string {
-	return fmt.Sprintf("%016x", xrand.HashString(string(body)))
 }

@@ -1,6 +1,7 @@
 package objcache
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -8,6 +9,9 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"funcytuner/internal/fsx"
+	"funcytuner/internal/xrand"
 )
 
 // jsonCodec round-trips string values as JSON — enough to exercise the
@@ -151,34 +155,42 @@ func TestSpillCorruptionTolerance(t *testing.T) {
 			mustWrite(t, path, nil)
 		}},
 		{"flipped-byte-in-body", func(t *testing.T, path string) {
+			// Flip inside the codec's value, leaving the envelope intact
+			// so only the checksum can catch the damage.
 			data := mustRead(t, path)
-			var e spillEntry
-			if err := json.Unmarshal(data, &e); err != nil {
-				t.Fatal(err)
+			i := bytes.Index(data, []byte(`"good"`))
+			if i < 0 {
+				t.Fatalf("value not found in %s", data)
 			}
-			// Flip inside the body payload, re-embedding it verbatim so
-			// only the checksum can catch the damage.
-			e.Body[len(e.Body)/2] ^= 0x04
-			out, err := json.Marshal(&e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustWrite(t, path, out)
+			data[i+2] ^= 0x04
+			mustWrite(t, path, data)
 		}},
 		{"garbage", func(t *testing.T, path string) {
 			mustWrite(t, path, []byte("\xde\xad\xbe\xef"))
 		}},
 		{"wrong-version", func(t *testing.T, path string) {
-			rewriteSpill(t, path, func(e *spillEntry) { e.Version = spillVersion + 1 })
+			rewriteSpill(t, path, func(v int, key, body string) (int, string, string) { return v + 1, key, body })
 		}},
 		{"wrong-key", func(t *testing.T, path string) {
-			rewriteSpill(t, path, func(e *spillEntry) { e.Key = "00000000000000ff" })
+			rewriteSpill(t, path, func(v int, key, body string) (int, string, string) { return v, "00000000000000ff", body })
 		}},
 		{"undecodable-body", func(t *testing.T, path string) {
-			rewriteSpill(t, path, func(e *spillEntry) {
-				e.Body = json.RawMessage(`{"not":"a string"}`)
-				e.Checksum = spillChecksum(e.Body)
+			rewriteSpill(t, path, func(v int, key, body string) (int, string, string) {
+				return v, key, `{"work":1,"val":{"not":"a string"}}`
 			})
+		}},
+		{"negative-work", func(t *testing.T, path string) {
+			rewriteSpill(t, path, func(v int, key, body string) (int, string, string) {
+				return v, key, `{"work":-1,"val":"good"}`
+			})
+		}},
+		{"old-envelope", func(t *testing.T, path string) {
+			// The version-1 envelope: work beside the body, spelled-out
+			// field names. It reads as a counted corrupt miss.
+			body := `"good"`
+			old := fmt.Sprintf(`{"version":1,"key":"%016x","work":1,"checksum":"%016x","body":%s}`,
+				uint64(9), xrand.HashString(body), body)
+			mustWrite(t, path, []byte(old))
 		}},
 		{"crash-mid-rename", func(t *testing.T, path string) {
 			data := mustRead(t, path)
@@ -299,14 +311,17 @@ func mustWrite(t *testing.T, path string, data []byte) {
 	}
 }
 
-func rewriteSpill(t *testing.T, path string, mut func(*spillEntry)) {
+// rewriteSpill re-seals a spill file after mut changes its version, key
+// or body, so only the field mut changed can make the load refuse it.
+func rewriteSpill(t *testing.T, path string, mut func(v int, key, body string) (int, string, string)) {
 	t.Helper()
-	var e spillEntry
-	if err := json.Unmarshal(mustRead(t, path), &e); err != nil {
+	key := filepath.Base(path[:len(path)-len(".json")])
+	v, body, err := fsx.Unseal(mustRead(t, path), key)
+	if err != nil {
 		t.Fatal(err)
 	}
-	mut(&e)
-	out, err := json.Marshal(&e)
+	v, key, newBody := mut(v, key, string(body))
+	out, err := fsx.Seal(v, key, []byte(newBody))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,9 @@
 // leaves the old entry or the new one, never a torn file), and loading
 // is corruption-tolerant — a truncated, bit-flipped or otherwise
 // unreadable entry is a counted miss, never an error and never a wrong
-// result. Entry bodies carry a checksum over their exact bytes; Get
-// verifies it before returning anything.
+// result. Entries are fsx sealed records — versioned, keyed and
+// checksummed over the body's exact bytes; Get verifies the seal before
+// returning anything.
 //
 // Layout: <dir>/<kk>/<key16>.json, sharded by the key's top byte so no
 // directory grows unboundedly. The in-memory index is built from file
@@ -20,8 +21,6 @@
 package resultrepo
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -34,10 +33,11 @@ import (
 	"funcytuner/internal/xrand"
 )
 
-// Version is the on-disk entry format version. Entries with a different
-// version are treated as misses (forward-compatible: a downgraded
-// binary re-tunes rather than misreading a newer entry).
-const Version = 1
+// Version is the on-disk entry format version; version 2 is the fsx
+// sealed record. Entries with a different version, and entries in an
+// older envelope, are counted corrupt misses (forward-compatible: a
+// downgraded binary re-tunes rather than misreading a newer entry).
+const Version = 2
 
 // KeySpec enumerates everything that determines a tuning outcome. Two
 // submissions with equal KeySpecs produce bit-identical Reports, so one
@@ -146,20 +146,6 @@ func (ks KeySpec) Key() uint64 {
 	return h.Sum()
 }
 
-// entry is the on-disk envelope: the body is stored verbatim and
-// checksummed over its exact bytes, so any torn write, truncation or
-// bit flip is detected before the body is ever interpreted.
-type entry struct {
-	Version  int             `json:"version"`
-	Key      string          `json:"key"`
-	Checksum string          `json:"checksum"`
-	Body     json.RawMessage `json:"body"`
-}
-
-func checksum(body []byte) string {
-	return fmt.Sprintf("%016x", xrand.HashString(string(body)))
-}
-
 // Stats is a snapshot of repository activity since Open.
 type Stats struct {
 	// Entries is the current index size.
@@ -230,7 +216,7 @@ func (r *Repo) Dir() string { return r.dir }
 func shard(key uint64) string { return fmt.Sprintf("%02x", byte(key>>56)) }
 
 func (r *Repo) path(key uint64) string {
-	return filepath.Join(r.dir, shard(key), fmt.Sprintf("%016x.json", key))
+	return filepath.Join(r.dir, shard(key), keyHex(key)+".json")
 }
 
 // Has reports whether the index holds key. A true answer can still turn
@@ -256,13 +242,11 @@ func (r *Repo) Get(key uint64) ([]byte, bool) {
 		return nil, false
 	}
 	path := r.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		r.drop(key, path)
-		return nil, false
-	}
-	body, ok := decode(data, key)
-	if !ok {
+	// Every failure mode — unreadable (data stays nil), not a sealed
+	// record, wrong key, checksum mismatch, wrong version — is corrupt.
+	data, _ := os.ReadFile(path)
+	v, body, err := fsx.Unseal(data, keyHex(key))
+	if err != nil || v != Version {
 		r.drop(key, path)
 		return nil, false
 	}
@@ -270,25 +254,7 @@ func (r *Repo) Get(key uint64) ([]byte, bool) {
 	return body, true
 }
 
-// decode validates one on-disk entry against the key it was filed
-// under. Every failure mode — not JSON, wrong version, wrong key,
-// checksum mismatch, empty body — reads as corrupt.
-func decode(data []byte, key uint64) ([]byte, bool) {
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, false
-	}
-	if e.Version != Version || len(e.Body) == 0 {
-		return nil, false
-	}
-	if k, err := strconv.ParseUint(e.Key, 16, 64); err != nil || k != key {
-		return nil, false
-	}
-	if e.Checksum != checksum(e.Body) {
-		return nil, false
-	}
-	return e.Body, true
-}
+func keyHex(key uint64) string { return fmt.Sprintf("%016x", key) }
 
 // drop records a corrupt entry: counted, de-indexed, best-effort
 // removed so the next writer starts clean.
@@ -310,8 +276,7 @@ func (r *Repo) Invalidate(key uint64) {
 }
 
 // Put stores body under key via the fsync-hardened atomic write path.
-// body must be valid JSON; it is compacted before storage so the
-// checksum covers exactly the bytes the envelope serializer emits.
+// body must be valid JSON; it is stored compacted.
 // Re-putting an existing key rewrites it — identical keys imply
 // identical bodies, so this is idempotent in correct use. Puts are
 // serialized (they share the index lock): a results repository sees one
@@ -319,21 +284,9 @@ func (r *Repo) Invalidate(key uint64) {
 // and serializing keeps concurrent same-key writers off each other's
 // staging files.
 func (r *Repo) Put(key uint64, body []byte) error {
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, body); err != nil {
-		return fmt.Errorf("resultrepo: body for key %016x is not valid JSON: %w", key, err)
-	}
-	e := entry{
-		Version:  Version,
-		Key:      fmt.Sprintf("%016x", key),
-		Checksum: checksum(compact.Bytes()),
-		Body:     json.RawMessage(compact.Bytes()),
-	}
-	// json.Marshal stores a RawMessage compacted, i.e. byte-for-byte the
-	// buffer the checksum covers; decode re-extracts the same bytes.
-	data, err := json.Marshal(&e)
+	data, err := fsx.Seal(Version, keyHex(key), body)
 	if err != nil {
-		return fmt.Errorf("resultrepo: %w", err)
+		return fmt.Errorf("resultrepo: key %016x: %w", key, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

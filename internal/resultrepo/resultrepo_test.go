@@ -2,12 +2,14 @@ package resultrepo
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"funcytuner/internal/fsx"
+	"funcytuner/internal/xrand"
 )
 
 func testSpec() KeySpec {
@@ -120,6 +122,28 @@ func TestPutGetSurvivesReopen(t *testing.T) {
 	}
 }
 
+// Bodies holding characters json.Marshal would HTML-escape are stored
+// byte-for-byte and served back, never turned into a corrupt miss.
+func TestPutGetKeepsEscapableBodies(t *testing.T) {
+	r, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range []string{`{"x":"<a>"}`, `{"x":"a&b"}`, "{\"x\":\"a\u2028b\u2029\"}"} {
+		key := uint64(i + 1)
+		if err := r.Put(key, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := r.Get(key)
+		if !ok || string(got) != body {
+			t.Errorf("Get(%q) = %q, %v", body, got, ok)
+		}
+	}
+	if st := r.Stats(); st.Corrupt != 0 || st.Hits != 3 {
+		t.Fatalf("stats = %+v, want 3 hits, 0 corrupt", st)
+	}
+}
+
 func TestPutRejectsInvalidJSON(t *testing.T) {
 	r, err := Open(t.TempDir())
 	if err != nil {
@@ -161,11 +185,11 @@ func TestCorruptionTolerance(t *testing.T) {
 		}, true},
 		{"flipped-byte-in-checksum", func(t *testing.T, path string) {
 			data := mustRead(t, path)
-			i := bytes.Index(data, []byte(`"checksum":"`))
+			i := bytes.Index(data, []byte(`"sum":"`))
 			if i < 0 {
 				t.Fatal("checksum marker not found")
 			}
-			i += len(`"checksum":"`)
+			i += len(`"sum":"`)
 			if data[i] == '0' {
 				data[i] = '1'
 			} else {
@@ -177,10 +201,16 @@ func TestCorruptionTolerance(t *testing.T) {
 			mustWrite(t, path, []byte("\x00\xff\x00\xffnot even json"))
 		}, true},
 		{"wrong-version", func(t *testing.T, path string) {
-			rewrite(t, path, func(e *entry) { e.Version = Version + 1 })
+			reseal(t, path, Version+1, fmt.Sprintf("%016x", key))
 		}, true},
 		{"wrong-key", func(t *testing.T, path string) {
-			rewrite(t, path, func(e *entry) { e.Key = "0000000000000001" })
+			reseal(t, path, Version, "0000000000000001")
+		}, true},
+		{"old-envelope", func(t *testing.T, path string) {
+			// The version-1 envelope, intact but in the old field names.
+			old := fmt.Sprintf(`{"version":1,"key":"%016x","checksum":"%016x","body":%s}`,
+				key, xrand.HashString(string(body)), body)
+			mustWrite(t, path, []byte(old))
 		}, true},
 		{"deleted-file", func(t *testing.T, path string) {
 			if err := os.Remove(path); err != nil {
@@ -310,34 +340,39 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 }
 
-// FuzzDecode drives the entry validator with arbitrary bytes: it must
-// never panic and never return a body whose checksum does not match.
+// FuzzDecode drives Get with arbitrary entry bytes on disk: it must
+// never panic, and it may return a body only when the file is exactly
+// the record Put would write for that body — sealed under this key and
+// the current Version. Anything else is a counted corrupt miss.
 func FuzzDecode(f *testing.F) {
 	key := testSpec().Key()
-	valid := entry{
-		Version:  Version,
-		Key:      fmt.Sprintf("%016x", key),
-		Checksum: checksum([]byte(`{"x":1}`)),
-		Body:     json.RawMessage(`{"x":1}`),
+	seed, err := fsx.Seal(Version, fmt.Sprintf("%016x", key), []byte(`{"x":1}`))
+	if err != nil {
+		f.Fatal(err)
 	}
-	seed, _ := json.Marshal(&valid)
 	f.Add(seed)
 	f.Add([]byte("{}"))
 	f.Add([]byte(""))
 	f.Add(seed[:len(seed)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		body, ok := decode(data, key)
-		if ok && checksum(body) == "" {
-			t.Fatal("unreachable")
+		r, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ok {
-			var e entry
-			if err := json.Unmarshal(data, &e); err != nil {
-				t.Fatalf("decode accepted bytes Unmarshal rejects: %v", err)
+		if err := r.Put(key, []byte(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+		mustWrite(t, r.path(key), data)
+		body, ok := r.Get(key)
+		if !ok {
+			if st := r.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+				t.Fatalf("refused entry not counted as one corrupt miss: %+v", st)
 			}
-			if e.Checksum != checksum(body) {
-				t.Fatal("decode returned a body failing its own checksum")
-			}
+			return
+		}
+		resealed, err := fsx.Seal(Version, fmt.Sprintf("%016x", key), body)
+		if err != nil || !bytes.Equal(resealed, data) {
+			t.Fatalf("Get served %q from bytes Put would not write: %q (%v)", body, data, err)
 		}
 	})
 }
@@ -358,14 +393,15 @@ func mustWrite(t *testing.T, path string, data []byte) {
 	}
 }
 
-func rewrite(t *testing.T, path string, mut func(*entry)) {
+// reseal rewrites the entry at path as an intact record under another
+// version or key, so only that field can make Get refuse it.
+func reseal(t *testing.T, path string, version int, key string) {
 	t.Helper()
-	var e entry
-	if err := json.Unmarshal(mustRead(t, path), &e); err != nil {
+	_, body, err := fsx.Unseal(mustRead(t, path), filepath.Base(path[:len(path)-len(".json")]))
+	if err != nil {
 		t.Fatal(err)
 	}
-	mut(&e)
-	data, err := json.Marshal(&e)
+	data, err := fsx.Seal(version, key, body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,6 +269,75 @@ func TestSubmitBoundsBudget(t *testing.T) {
 	}
 }
 
+// blockGate holds every evaluation until its job is cancelled, so an
+// accepted job costs set-up only.
+type blockGate struct{}
+
+func (blockGate) Acquire(ctx context.Context) error {
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+func (blockGate) Release() {}
+
+// FuzzJobSpec posts arbitrary bodies to POST /jobs. Whatever the body,
+// the handler must not panic and must answer 202 with the new job's
+// status or 400 with an error; a 400 creates no job, a 202 exactly one,
+// whose stored spec passes validation. Accepted jobs never evaluate
+// (blockGate) and are drained before the next input.
+func FuzzJobSpec(f *testing.F) {
+	f.Add([]byte(`{"benchmark":"swim","samples":4,"topx":2,"seed":"fuzz"}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"samples":-1}`))
+	f.Add([]byte(`{"samples":40,"topx":41}`))
+	f.Add([]byte(`{"technique":"bo","compare":true}`))
+	f.Add([]byte(`{"technique":"ga","warm_start":true}`))
+	f.Add([]byte(`{"distributed":true}`))
+	f.Add([]byte(`{"resume":"job-0001"}`))
+	f.Add([]byte(`{"benchmark":"nope"}`))
+	f.Add([]byte(`{"seed":"x","extra":1}`))
+	f.Add([]byte(`{"seed":"a"}{"seed":"b"}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		mgr := newTestManager(t, Config{Gate: blockGate{}})
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+			defer cancel()
+			if err := mgr.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		rec := httptest.NewRecorder()
+		NewServer(mgr).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+		jobs := mgr.List()
+		switch rec.Code {
+		case http.StatusBadRequest:
+			var e map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e["error"] == "" {
+				t.Fatalf("400 without an error message: %q", rec.Body.Bytes())
+			}
+			if len(jobs) != 0 {
+				t.Fatalf("refused spec created %d jobs", len(jobs))
+			}
+		case http.StatusAccepted:
+			var st Status
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.ID == "" {
+				t.Fatalf("202 without a job status: %q", rec.Body.Bytes())
+			}
+			j, ok := mgr.Get(st.ID)
+			if len(jobs) != 1 || !ok {
+				t.Fatalf("accepted spec created %d jobs, job %s found: %v", len(jobs), st.ID, ok)
+			}
+			spec := j.Spec
+			if err := spec.validate(); err != nil {
+				t.Fatalf("accepted spec %+v fails validation: %v", j.Spec, err)
+			}
+		default:
+			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+	})
+}
+
 // stallGate passes through n acquisitions, then blocks the n+1th until
 // its context is cancelled; every later acquisition passes freely. With
 // Workers=1 this cancels a job at a deterministic evaluation boundary.

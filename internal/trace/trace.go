@@ -25,10 +25,9 @@
 // stamps, when enabled with WallClock, are for humans reading a live
 // -trace file; Canonical strips them.
 //
-// Float fields are encoded as hexadecimal float strings
-// (strconv.FormatFloat(v, 'x', -1, 64)), the same lossless round-trip
+// Float fields are encoded as fsx.HexFloat strings, the same lossless
 // representation the checkpoint format uses, so encode∘decode∘encode is
-// byte-stable including ±Inf.
+// byte-stable including ±Inf. A NaN is refused on decode.
 package trace
 
 import (
@@ -38,7 +37,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
+
+	"funcytuner/internal/fsx"
 )
 
 // Kind classifies an event.
@@ -137,7 +137,7 @@ func formatSeconds(v float64) string {
 	if v == 0 {
 		return ""
 	}
-	return strconv.FormatFloat(v, 'x', -1, 64)
+	return fsx.HexFloat(v)
 }
 
 // parseSeconds is the inverse of formatSeconds ("" → 0).
@@ -145,7 +145,7 @@ func parseSeconds(s string) (float64, error) {
 	if s == "" {
 		return 0, nil
 	}
-	return strconv.ParseFloat(s, 64)
+	return fsx.ParseHexFloat(s)
 }
 
 // MarshalJSON encodes the event in the canonical wire form.

@@ -54,27 +54,25 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// NaN is not produced by the pipeline but must still round-trip stably —
-// the encoding may not be lossy for any float64.
-func TestNaNEncodingStable(t *testing.T) {
-	e := Event{Kind: KindRun, Sample: 0, Seconds: math.NaN()}
-	b1, err := e.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
+// NaN is not produced by the pipeline, so a NaN duration in a trace
+// file, a span row or a repository entry is damage: decoding refuses
+// it, like every other hex-float reader.
+func TestNaNSecondsRefused(t *testing.T) {
+	for _, e := range []Event{
+		{Kind: KindRun, Sample: 0, Seconds: math.NaN()},
+		{Kind: KindRun, Sample: 0, Sim: math.NaN()},
+	} {
+		data, err := e.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dec Event
+		if err := dec.UnmarshalJSON(data); err == nil {
+			t.Errorf("NaN event %s decoded as %+v", data, dec)
+		}
 	}
-	var dec Event
-	if err := dec.UnmarshalJSON(b1); err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(dec.Seconds) {
-		t.Fatalf("NaN decoded as %v", dec.Seconds)
-	}
-	b2, err := dec.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("NaN re-encode not stable: %s vs %s", b1, b2)
+	if events, err := DecodeSpan("cfr", 0, []string{"run 0 ok 0 0 NaN 0x1p+00"}); err == nil {
+		t.Errorf("NaN span row decoded as %+v", events)
 	}
 }
 

@@ -12,19 +12,20 @@ package funcytuner
 // and falls through to a normal run — repository damage can cost a
 // re-tune, never a wrong result.
 //
-// Everything round-trips losslessly: floats travel as strconv hex-float
-// strings (NaN and ±Inf included — G.Independent's TrueTime is NaN by
-// contract), CVs as their flag-string form re-parsed against the same
+// Everything round-trips losslessly: floats travel as fsx hex-float
+// strings (±Inf included; G.Independent's NaN TrueTime as an absent
+// field), CVs as their flag-string form re-parsed against the same
 // flag space, and the canonical trace as embedded JSONL replayed
 // verbatim into the caller's recorder.
 
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
+	"math"
 	"strings"
 
 	"funcytuner/internal/core"
+	"funcytuner/internal/fsx"
 	"funcytuner/internal/resultrepo"
 	"funcytuner/internal/trace"
 )
@@ -94,12 +95,14 @@ func (t *Tuner) keySpec(mode string, prog *Program, in Input, rule StopRule, war
 
 // repoResult is one algorithm's Result in wire form. CVs travel as flag
 // strings (Space.Parse is String's exact inverse); floats as hex-float
-// strings, so NaN/±Inf round-trip too.
+// strings, so ±Inf round-trips too. A NaN TrueTime (G.Independent is
+// never re-measured) is stored as an absent true_time: a stored "NaN"
+// is damage, like anywhere else.
 type repoResult struct {
 	Algorithm       string   `json:"algorithm"`
 	ModuleFlags     []string `json:"module_flags,omitempty"`
 	BestMeasured    string   `json:"best_measured"`
-	TrueTime        string   `json:"true_time"`
+	TrueTime        string   `json:"true_time,omitempty"`
 	Baseline        string   `json:"baseline"`
 	Speedup         string   `json:"speedup"`
 	Evaluations     int      `json:"evaluations"`
@@ -144,32 +147,36 @@ type repoBody struct {
 	TraceJSONL      string                 `json:"trace_jsonl,omitempty"`
 }
 
-func hexFloat(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
-
-func hexFloats(vs []float64) []string {
-	if len(vs) == 0 {
-		return nil
-	}
+// hexSlice renders vs with fsx.HexFloat (omitempty drops an empty one).
+func hexSlice(vs []float64) []string {
 	out := make([]string, len(vs))
 	for i, v := range vs {
-		out[i] = hexFloat(v)
+		out[i] = fsx.HexFloat(v)
 	}
 	return out
 }
 
-func parseHexFloats(ss []string) ([]float64, error) {
+// hexReader parses a body's hex floats with fsx.ParseHexFloat, keeping
+// the first error so decodeRepoBody checks once.
+type hexReader struct{ err error }
+
+func (h *hexReader) one(s string) float64 {
+	v, err := fsx.ParseHexFloat(s)
+	if err != nil && h.err == nil {
+		h.err = err
+	}
+	return v
+}
+
+func (h *hexReader) slice(ss []string) []float64 {
 	if len(ss) == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make([]float64, len(ss))
 	for i, s := range ss {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+		out[i] = h.one(s)
 	}
-	return out, nil
+	return out
 }
 
 // encodeRepoBody serializes a freshly computed Report (live session
@@ -181,15 +188,15 @@ func encodeRepoBody(rep *Report, tr *TuningTrace) ([]byte, error) {
 		Program:         rep.sess.Prog.Name,
 		Machine:         rep.sess.Machine.Name,
 		Results:         make(map[string]*repoResult, len(rep.All)),
-		ProfileTotal:    hexFloat(rep.Profile.Total),
-		ProfileTotalStd: hexFloat(rep.Profile.TotalStd),
-		ProfileNonLoop:  hexFloat(rep.Profile.NonLoop),
-		ProfilePerLoop:  hexFloats(rep.Profile.PerLoop),
+		ProfileTotal:    fsx.HexFloat(rep.Profile.Total),
+		ProfileTotalStd: fsx.HexFloat(rep.Profile.TotalStd),
+		ProfileNonLoop:  fsx.HexFloat(rep.Profile.NonLoop),
+		ProfilePerLoop:  hexSlice(rep.Profile.PerLoop),
 		ProfileRuns:     rep.Profile.Runs,
 		HotLoops:        rep.HotLoops,
 		Compiles:        rep.Compiles,
 		Runs:            rep.Runs,
-		SimulatedHours:  hexFloat(rep.SimulatedHours),
+		SimulatedHours:  fsx.HexFloat(rep.SimulatedHours),
 		Faults: repoFaults{
 			CompileFailures: rep.Faults.CompileFailures,
 			RunCrashes:      rep.Faults.RunCrashes,
@@ -197,7 +204,7 @@ func encodeRepoBody(rep *Report, tr *TuningTrace) ([]byte, error) {
 			Flakes:          rep.Faults.Flakes,
 			Retries:         rep.Faults.Retries,
 			WastedCompiles:  rep.Faults.WastedCompiles,
-			LostHours:       hexFloat(rep.Faults.LostHours),
+			LostHours:       fsx.HexFloat(rep.Faults.LostHours),
 			Quarantined:     rep.Faults.Quarantined,
 			DegradedModules: rep.Faults.DegradedModules,
 		},
@@ -208,13 +215,15 @@ func encodeRepoBody(rep *Report, tr *TuningTrace) ([]byte, error) {
 	for name, res := range rep.All {
 		rr := &repoResult{
 			Algorithm:       res.Algorithm,
-			BestMeasured:    hexFloat(res.BestMeasured),
-			TrueTime:        hexFloat(res.TrueTime),
-			Baseline:        hexFloat(res.Baseline),
-			Speedup:         hexFloat(res.Speedup),
+			BestMeasured:    fsx.HexFloat(res.BestMeasured),
+			Baseline:        fsx.HexFloat(res.Baseline),
+			Speedup:         fsx.HexFloat(res.Speedup),
 			Evaluations:     res.Evaluations,
-			Trace:           hexFloats(res.Trace),
+			Trace:           hexSlice(res.Trace),
 			DegradedModules: res.DegradedModules,
+		}
+		if !math.IsNaN(res.TrueTime) {
+			rr.TrueTime = fsx.HexFloat(res.TrueTime)
 		}
 		for _, cv := range res.ModuleCVs {
 			rr.ModuleFlags = append(rr.ModuleFlags, cv.String())
@@ -247,28 +256,21 @@ func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *
 	if len(b.Results) == 0 {
 		return nil, nil, "", fmt.Errorf("funcytuner: stored entry has no results")
 	}
+	var hex hexReader
 	all := make(map[string]*Result, len(b.Results))
 	for name, rr := range b.Results {
 		res := &Result{
 			Algorithm:       rr.Algorithm,
+			BestMeasured:    hex.one(rr.BestMeasured),
+			TrueTime:        math.NaN(),
+			Baseline:        hex.one(rr.Baseline),
+			Speedup:         hex.one(rr.Speedup),
 			Evaluations:     rr.Evaluations,
+			Trace:           hex.slice(rr.Trace),
 			DegradedModules: rr.DegradedModules,
 		}
-		var err error
-		if res.BestMeasured, err = strconv.ParseFloat(rr.BestMeasured, 64); err != nil {
-			return nil, nil, "", err
-		}
-		if res.TrueTime, err = strconv.ParseFloat(rr.TrueTime, 64); err != nil {
-			return nil, nil, "", err
-		}
-		if res.Baseline, err = strconv.ParseFloat(rr.Baseline, 64); err != nil {
-			return nil, nil, "", err
-		}
-		if res.Speedup, err = strconv.ParseFloat(rr.Speedup, 64); err != nil {
-			return nil, nil, "", err
-		}
-		if res.Trace, err = parseHexFloats(rr.Trace); err != nil {
-			return nil, nil, "", err
+		if rr.TrueTime != "" {
+			res.TrueTime = hex.one(rr.TrueTime)
 		}
 		for _, flags := range rr.ModuleFlags {
 			cv, err := t.opts.Space.Parse(flags)
@@ -300,27 +302,16 @@ func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *
 		},
 	}
 	rep.Profile = Profile{
-		Program: prog,
-		Machine: t.opts.Machine,
-		Input:   in,
-		Runs:    b.ProfileRuns,
+		Program:  prog,
+		Machine:  t.opts.Machine,
+		Input:    in,
+		Total:    hex.one(b.ProfileTotal),
+		TotalStd: hex.one(b.ProfileTotalStd),
+		NonLoop:  hex.one(b.ProfileNonLoop),
+		PerLoop:  hex.slice(b.ProfilePerLoop),
+		Runs:     b.ProfileRuns,
 	}
-	var err error
-	if rep.Profile.Total, err = strconv.ParseFloat(b.ProfileTotal, 64); err != nil {
-		return nil, nil, "", err
-	}
-	if rep.Profile.TotalStd, err = strconv.ParseFloat(b.ProfileTotalStd, 64); err != nil {
-		return nil, nil, "", err
-	}
-	if rep.Profile.NonLoop, err = strconv.ParseFloat(b.ProfileNonLoop, 64); err != nil {
-		return nil, nil, "", err
-	}
-	if rep.Profile.PerLoop, err = parseHexFloats(b.ProfilePerLoop); err != nil {
-		return nil, nil, "", err
-	}
-	if rep.SimulatedHours, err = strconv.ParseFloat(b.SimulatedHours, 64); err != nil {
-		return nil, nil, "", err
-	}
+	rep.SimulatedHours = hex.one(b.SimulatedHours)
 	rep.Faults = FaultTally{
 		CompileFailures: b.Faults.CompileFailures,
 		RunCrashes:      b.Faults.RunCrashes,
@@ -328,14 +319,16 @@ func (t *Tuner) decodeRepoBody(body []byte, prog *Program, in Input) (*Report, *
 		Flakes:          b.Faults.Flakes,
 		Retries:         b.Faults.Retries,
 		WastedCompiles:  b.Faults.WastedCompiles,
+		LostHours:       hex.one(b.Faults.LostHours),
 		Quarantined:     b.Faults.Quarantined,
 		DegradedModules: b.Faults.DegradedModules,
 	}
-	if rep.Faults.LostHours, err = strconv.ParseFloat(b.Faults.LostHours, 64); err != nil {
-		return nil, nil, "", err
+	if hex.err != nil {
+		return nil, nil, "", hex.err
 	}
 	var tr *TuningTrace
 	if b.TraceJSONL != "" {
+		var err error
 		if tr, err = trace.ReadJSONL(strings.NewReader(b.TraceJSONL)); err != nil {
 			return nil, nil, "", err
 		}

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
-	"funcytuner/internal/xrand"
+	"funcytuner/internal/fsx"
 )
 
 // repoOpts is the shared configuration for repository facade tests:
@@ -315,75 +317,137 @@ func TestRepoCorruptEntryFallsThroughToRecompute(t *testing.T) {
 	}
 }
 
-// A body that passes the envelope checksum but whose content does not
-// reproduce its stored fingerprint is invalidated, not served — the
-// facade's end-to-end integrity check, one level above resultrepo's.
-func TestRepoFingerprintMismatchInvalidates(t *testing.T) {
-	dir := t.TempDir()
-	prog, _ := Benchmark(Swim)
-	m, _ := MachineByName("broadwell")
-	in := TuningInput(Swim, m)
-	want, err := NewTuner(repoOpts(dir)).Tune(prog, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Tamper with the body (bump CFR's evaluation count) and re-seal the
-	// envelope with a freshly computed checksum, so only the fingerprint
-	// verification can catch it.
+// tamperRepoResults rewrites the single stored entry's per-algorithm
+// results with mut and re-seals it with a fresh checksum, then checks
+// the envelope alone still accepts it: only the facade's own checks on
+// the body can catch the change. It returns the new body.
+func tamperRepoResults(t *testing.T, dir string, mut func(results map[string]map[string]json.RawMessage)) []byte {
+	t.Helper()
 	path := repoEntryPath(t, dir)
-	var env struct {
-		Version  int             `json:"version"`
-		Key      string          `json:"key"`
-		Checksum string          `json:"checksum"`
-		Body     json.RawMessage `json:"body"`
-	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(raw, &env); err != nil {
+	key := strings.TrimSuffix(filepath.Base(path), ".json")
+	v, sealed, err := fsx.Unseal(raw, key)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var body map[string]json.RawMessage
-	if err := json.Unmarshal(env.Body, &body); err != nil {
+	if err := json.Unmarshal(sealed, &body); err != nil {
 		t.Fatal(err)
 	}
 	var results map[string]map[string]json.RawMessage
 	if err := json.Unmarshal(body["results"], &results); err != nil {
 		t.Fatal(err)
 	}
-	results["CFR"]["evaluations"] = json.RawMessage("99999")
-	reenc, err := json.Marshal(results)
-	if err != nil {
+	mut(results)
+	if body["results"], err = json.Marshal(results); err != nil {
 		t.Fatal(err)
 	}
-	body["results"] = reenc
 	newBody, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Body = newBody
-	env.Checksum = fmt.Sprintf("%016x", xrand.HashString(string(newBody)))
-	sealed, err := json.Marshal(&env)
+	resealed, err := fsx.Seal(v, key, newBody)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, sealed, 0o644); err != nil {
+	if err := os.WriteFile(path, resealed, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	repo, err := OpenResultRepo(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := strconv.ParseUint(key, 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := repo.Get(k); !ok {
+		t.Fatal("re-sealed entry refused by the envelope check")
+	}
+	return newBody
+}
 
+// A body that passes the envelope checksum but is not the stored result
+// is invalidated and counted as a corrupt miss, not served; the
+// recompute matches the original. Two ways in: a content change only
+// the fingerprint verification catches, and a "NaN" time the hex-float
+// parser refuses outright.
+func TestRepoFingerprintMismatchInvalidates(t *testing.T) {
+	for name, tc := range map[string]struct {
+		mut       func(map[string]map[string]json.RawMessage)
+		undecoded bool // the body decoder itself refuses it
+	}{
+		"evaluations": {func(r map[string]map[string]json.RawMessage) { r["CFR"]["evaluations"] = json.RawMessage("99999") }, false},
+		"NaN best":    {func(r map[string]map[string]json.RawMessage) { r["CFR"]["best_measured"] = json.RawMessage(`"NaN"`) }, true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			prog, _ := Benchmark(Swim)
+			m, _ := MachineByName("broadwell")
+			in := TuningInput(Swim, m)
+			want, err := NewTuner(repoOpts(dir)).Tune(prog, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := tamperRepoResults(t, dir, tc.mut)
+
+			opts := repoOpts(dir)
+			opts.SkipExist = true
+			tuner := NewTuner(opts)
+			if _, _, _, err := tuner.decodeRepoBody(body, prog, in); (err != nil) != tc.undecoded {
+				t.Fatalf("decodeRepoBody error = %v, want an error: %v", err, tc.undecoded)
+			}
+			rep, err := tuner.Tune(prog, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Served {
+				t.Fatal("tampered entry was served")
+			}
+			if rep.Fingerprint() != want.Fingerprint() {
+				t.Fatal("recompute after tamper diverged")
+			}
+			if st := tuner.RepoStats(); st.Corrupt != 1 || st.Misses != 1 {
+				t.Fatalf("tampered entry not counted as one corrupt miss: %+v", st)
+			}
+		})
+	}
+}
+
+// Compare stores G.Independent, whose TrueTime is NaN by contract (it
+// is never re-measured). That NaN is stored as an absent true_time, so
+// the entry serves with the same fingerprint instead of reading as
+// damage.
+func TestRepoServesCompare(t *testing.T) {
+	dir := t.TempDir()
+	prog, _ := Benchmark(Swim)
+	m, _ := MachineByName("broadwell")
+	in := TuningInput(Swim, m)
+	want, err := NewTuner(repoOpts(dir)).Compare(prog, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gi := want.All["G.Independent"]; gi == nil || !math.IsNaN(gi.TrueTime) {
+		t.Fatalf("G.Independent = %+v, want a NaN TrueTime", gi)
+	}
 	opts := repoOpts(dir)
 	opts.SkipExist = true
-	rep, err := NewTuner(opts).Tune(prog, in)
+	tuner := NewTuner(opts)
+	got, err := tuner.Compare(prog, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Served {
-		t.Fatal("fingerprint-mismatched entry was served")
+	if !got.Served || got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("compare served = %v, fingerprint %016x vs %016x", got.Served, got.Fingerprint(), want.Fingerprint())
 	}
-	if rep.Fingerprint() != want.Fingerprint() {
-		t.Fatal("recompute after tamper diverged")
+	if gi := got.All["G.Independent"]; gi == nil || !math.IsNaN(gi.TrueTime) {
+		t.Fatalf("served G.Independent = %+v, want a NaN TrueTime", gi)
+	}
+	if st := tuner.RepoStats(); st.Corrupt != 0 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want one clean hit", st)
 	}
 }
 
